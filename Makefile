@@ -4,13 +4,14 @@
 #   make test   - tier-1: full test suite
 #   make race   - full test suite under the race detector
 #   make lint   - golangci-lint if installed, else 'go vet' with a notice
-#   make check  - tier-2: lint + race detector on the whole module + a smoke
-#                 fault-injection campaign (fixed seed, 100 faults) + the
+#   make check  - tier-2: lint + race detector on the whole module + the
+#                 default fault-injection sweep (5 seeds x 500 faults) + the
 #                 compartment-compromise campaign + a short host-throughput
 #                 run (also verifies bit-identity)
 #   make bench  - regenerate the paper's evaluation tables
-#   make bench-host       - measure host MIPS fast vs slow plus the multi-hart
-#                           parallel engine, write BENCH_host.json
+#   make bench-host       - measure host MIPS on the trace, block and slow
+#                           engines plus the multi-hart parallel engine,
+#                           write BENCH_host.json
 #   make bench-host-short - same at 1/8 scale, write BENCH_host_short.json
 #                           (the committed CI gate baseline)
 #   make bench-gate       - re-measure at 1/8 scale and fail if the simulated
@@ -27,8 +28,9 @@
 #   make smoke-serving    - short sustained-serving run (deterministic rerun
 #                           checked inside zionbench); writes the latency
 #                           histogram artifact serving_hist.json
-#   make test-allocs      - pin the zero-allocation contract of the superblock
-#                           and compiled-trace dispatch loops
+#   make test-allocs      - pin the zero-allocation contract of the reference
+#                           interpreter and the superblock and compiled-trace
+#                           dispatch loops
 
 GO ?= go
 # HOSTHARTS sizes the parallel host-throughput section (bench-multicore).
@@ -74,10 +76,11 @@ check: build
 	$(MAKE) smoke-serving
 	$(MAKE) bench-host-short
 
-# smoke runs one fixed-seed fault campaign through the zionbench driver:
-# quick proof that the robustness path works end to end outside go test.
+# smoke runs the default fault-injection sweep (5 seeds x 500 faults, a
+# couple of seconds) through the zionbench driver: proof that the
+# robustness path works end to end outside go test.
 smoke:
-	$(GO) run ./cmd/zionbench -e fi -fiseeds 1 -fifaults 100
+	$(GO) run ./cmd/zionbench -e fi
 
 # smoke-compromise runs the seeded compartment-compromise campaign: each
 # SM compartment corrupted in turn, asserting the blast-radius contract
@@ -101,18 +104,18 @@ smoke-monitor:
 smoke-serving:
 	$(GO) run ./cmd/zionbench -e serving -servrequests 20000 -servhist serving_hist.json
 
-# test-allocs is the hot-loop allocation gate: the superblock and
-# compiled-trace dispatch loops must run allocation-free once warm. The
-# suite runs these anyway; the dedicated target gives CI a cheap job whose
-# failure names the regression directly.
+# test-allocs is the hot-loop allocation gate: the reference interpreter's
+# Step and the superblock and compiled-trace dispatch loops must run
+# allocation-free once warm. The suite runs these anyway; the dedicated
+# target gives CI a cheap job whose failure names the regression directly.
 test-allocs:
-	$(GO) test ./internal/hart -run 'TestRunBatchSuperblockZeroAllocs|TestTraceDispatchAllocs' -count=1 -v
+	$(GO) test ./internal/hart -run 'TestStepSlowZeroAllocs|TestRunBatchSuperblockZeroAllocs|TestTraceDispatchAllocs' -count=1 -v
 
 bench:
 	$(GO) run ./cmd/zionbench
 
-# bench-host times the T1 aes and E4 CoreMark guests with the fast-path
-# engine on vs off, then the 4-hart aes workload sequentially vs under the
+# bench-host times the T1 aes and E4 CoreMark guests on the trace, block
+# and slow engines, then the 4-hart aes workload sequentially vs under the
 # quantum-barrier parallel engine; the run fails if any simulated cycle
 # count diverges between engines.
 bench-host:

@@ -20,11 +20,12 @@ import (
 	"testing"
 
 	"zion/internal/bench"
+	"zion/internal/hart"
 )
 
 func BenchmarkE1SharedVCPU(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := bench.RunE1(200)
+		r, err := bench.RunE1(200, hart.EngineTrace)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -37,7 +38,7 @@ func BenchmarkE1SharedVCPU(b *testing.B) {
 
 func BenchmarkE2ShortPath(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := bench.RunE2(200)
+		r, err := bench.RunE2(200, hart.EngineTrace)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -50,7 +51,7 @@ func BenchmarkE2ShortPath(b *testing.B) {
 
 func BenchmarkE3PageFault(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := bench.RunE3(1536)
+		r, err := bench.RunE3(1536, hart.EngineTrace)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -64,7 +65,7 @@ func BenchmarkE3PageFault(b *testing.B) {
 
 func BenchmarkT1RV8(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := bench.RunT1(4)
+		r, err := bench.RunT1(4, hart.EngineTrace)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -77,7 +78,7 @@ func BenchmarkT1RV8(b *testing.B) {
 
 func BenchmarkE4Coremark(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := bench.RunE4(4)
+		r, err := bench.RunE4(4, hart.EngineTrace)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -89,7 +90,7 @@ func BenchmarkE4Coremark(b *testing.B) {
 
 func BenchmarkF3Redis(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := bench.RunF3(20)
+		r, err := bench.RunF3(20, hart.EngineTrace)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -100,7 +101,7 @@ func BenchmarkF3Redis(b *testing.B) {
 
 func BenchmarkF4IOZone(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := bench.RunF4()
+		r, err := bench.RunF4(hart.EngineTrace)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -114,7 +115,7 @@ func BenchmarkF4IOZone(b *testing.B) {
 
 func BenchmarkA1Scalability(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := bench.RunA1(32)
+		r, err := bench.RunA1(32, hart.EngineTrace)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -125,7 +126,7 @@ func BenchmarkA1Scalability(b *testing.B) {
 
 func BenchmarkA2SplitPT(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := bench.RunA2(1000)
+		r, err := bench.RunA2(1000, hart.EngineTrace)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -136,7 +137,7 @@ func BenchmarkA2SplitPT(b *testing.B) {
 
 func BenchmarkA3Allocator(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := bench.RunA3(2000)
+		r, err := bench.RunA3(2000, hart.EngineTrace)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -148,7 +149,7 @@ func BenchmarkA3Allocator(b *testing.B) {
 
 func BenchmarkA4EntryRevalidation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := bench.RunA4()
+		r, err := bench.RunA4(hart.EngineTrace)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -29,10 +29,16 @@ import (
 
 	"zion/internal/bench"
 	"zion/internal/faultinject"
+	"zion/internal/hart"
 	"zion/internal/monitor"
 	"zion/internal/telemetry"
 	"zion/internal/workloads"
 )
+
+// engine is the execution tier the paper tables run on. Every tier yields
+// bit-identical tables (the bench package's tri-engine lockstep tests);
+// the default is simply the fastest.
+const engine = hart.EngineTrace
 
 // experiments is the authoritative -e vocabulary, in run order.
 var experiments = []struct{ ID, Desc string }{
@@ -119,7 +125,7 @@ func main() {
 	traceCap := flag.Int("tracecap", 0, "trace ring capacity in events (0 = default)")
 	cpuprofile := flag.String("cpuprofile", "", "write a Go CPU profile of the simulator itself")
 	memprofile := flag.String("memprofile", "", "write a Go heap profile of the simulator itself")
-	hostbench := flag.String("hostbench", "", "measure host MIPS fast vs slow path and write a JSON report to FILE")
+	hostbench := flag.String("hostbench", "", "measure host MIPS on the trace, block and slow engines and write a JSON report to FILE")
 	hostdiv := flag.Int("hostdiv", 1, "divide host-bench workload scales (faster, noisier)")
 	hostharts := flag.Int("hostharts", 4, "harts for the parallel host-throughput section (0 = skip)")
 	quantum := flag.Uint64("quantum", 0, "fixed barrier quantum in simulated cycles for the parallel section (0 = adaptive)")
@@ -211,7 +217,7 @@ func main() {
 
 	if want["e1"] {
 		section("E1", "§V.B.1 shared-vCPU optimization (paper: entry 5293->4191, exit 3267->2524)")
-		r, err := bench.RunE1(200)
+		r, err := bench.RunE1(200, engine)
 		if err != nil {
 			fail("e1", err)
 		}
@@ -221,7 +227,7 @@ func main() {
 	}
 	if want["e2"] {
 		section("E2", "§V.B.2 short-path CVM mode (paper: entry 7282->4028, exit 5384->2406)")
-		r, err := bench.RunE2(200)
+		r, err := bench.RunE2(200, engine)
 		if err != nil {
 			fail("e2", err)
 		}
@@ -231,7 +237,7 @@ func main() {
 	}
 	if want["e3"] {
 		section("E3", "§V.C stage-2 page faults (paper: normal 39607; CVM 31103/34729/57152, avg 31449)")
-		r, err := bench.RunE3(1536)
+		r, err := bench.RunE3(1536, engine)
 		if err != nil {
 			fail("e3", err)
 		}
@@ -241,7 +247,7 @@ func main() {
 	}
 	if want["t1"] {
 		section("T1", "Table I: RV8 benchmarks (paper: avg +2.59%)")
-		r, err := bench.RunT1(*scaleDiv)
+		r, err := bench.RunT1(*scaleDiv, engine)
 		if err != nil {
 			fail("t1", err)
 		}
@@ -251,7 +257,7 @@ func main() {
 	}
 	if want["e4"] {
 		section("E4", "§V.D CoreMark (paper: 2047.6 vs 1992.3, -2.77%)")
-		r, err := bench.RunE4(*scaleDiv)
+		r, err := bench.RunE4(*scaleDiv, engine)
 		if err != nil {
 			fail("e4", err)
 		}
@@ -261,7 +267,7 @@ func main() {
 	}
 	if want["f3"] {
 		section("F3", "Fig. 3: Redis-like (paper: throughput -5.3%, latency +4%)")
-		r, err := bench.RunF3(*requests)
+		r, err := bench.RunF3(*requests, engine)
 		if err != nil {
 			fail("f3", err)
 		}
@@ -271,7 +277,7 @@ func main() {
 	}
 	if want["f4"] {
 		section("F4", "Fig. 4: IOZone-like sweep (paper: <5% small files, up to 20% large)")
-		r, err := bench.RunF4()
+		r, err := bench.RunF4(engine)
 		if err != nil {
 			fail("f4", err)
 		}
@@ -281,7 +287,7 @@ func main() {
 	}
 	if want["a1"] {
 		section("A1", "ablation: concurrent-enclave scalability")
-		r, err := bench.RunA1(64)
+		r, err := bench.RunA1(64, engine)
 		if err != nil {
 			fail("a1", err)
 		}
@@ -291,7 +297,7 @@ func main() {
 	}
 	if want["a2"] {
 		section("A2", "ablation: shared-memory update cost")
-		r, err := bench.RunA2(1000)
+		r, err := bench.RunA2(1000, engine)
 		if err != nil {
 			fail("a2", err)
 		}
@@ -301,7 +307,7 @@ func main() {
 	}
 	if want["a4"] {
 		section("A4", "ablation: shared-subtable entry revalidation cost")
-		r, err := bench.RunA4()
+		r, err := bench.RunA4(engine)
 		if err != nil {
 			fail("a4", err)
 		}
@@ -311,7 +317,7 @@ func main() {
 	}
 	if want["a3"] {
 		section("A3", "ablation: hierarchical allocator stage distribution")
-		r, err := bench.RunA3(4000)
+		r, err := bench.RunA3(4000, engine)
 		if err != nil {
 			fail("a3", err)
 		}
@@ -450,7 +456,7 @@ func main() {
 	}
 
 	if *hostbench != "" || *hostgate != "" {
-		section("HOST", "host-side throughput: compiled traces vs superblock vs per-instruction fast path vs pure interpreter")
+		section("HOST", "host-side throughput: compiled traces vs superblock vs reference interpreter")
 		r, err := bench.RunHost(*hostdiv)
 		if err != nil {
 			fail("host", err)

@@ -6,6 +6,7 @@ import (
 
 	"zion/internal/asm"
 	"zion/internal/baseline"
+	"zion/internal/hart"
 	"zion/internal/hv"
 	"zion/internal/sm"
 )
@@ -29,7 +30,7 @@ func (r A1Result) Rows() []string {
 }
 
 // RunA1 drives both designs to their concurrency limits.
-func RunA1(zionTarget int) (A1Result, error) {
+func RunA1(zionTarget int, eng hart.Engine) (A1Result, error) {
 	res := A1Result{ZionTarget: zionTarget}
 
 	// Region-based: create until the PMP wall.
@@ -53,7 +54,7 @@ func RunA1(zionTarget int) (A1Result, error) {
 	res.RegionFragPct = rm.FragmentationRatio() * 100
 
 	// ZION: create-and-run many CVMs concurrently (all stay live).
-	e := NewEnv(EnvConfig{RAMSize: 1 << 30, PoolSize: 256 << 20})
+	e := NewEnv(EnvConfig{Engine: eng, RAMSize: 1 << 30, PoolSize: 256 << 20})
 	img := tinyProgram()
 	var vms []*hv.VM
 	for i := 0; i < zionTarget; i++ {
@@ -99,9 +100,9 @@ func (r A2Result) Rows() []string {
 }
 
 // RunA2 measures both sharing designs.
-func RunA2(updates int) (A2Result, error) {
+func RunA2(updates int, eng hart.Engine) (A2Result, error) {
 	res := A2Result{Updates: updates}
-	e := NewEnv(EnvConfig{})
+	e := NewEnv(EnvConfig{Engine: eng})
 	syncM := &baseline.SyncSharedMapper{}
 	start := e.H.Cycles
 	for i := 0; i < updates; i++ {
@@ -136,8 +137,8 @@ func (r A3Result) Rows() []string {
 }
 
 // RunA3 runs a fault storm and reports the stage distribution.
-func RunA3(pages int) (A3Result, error) {
-	e := NewEnv(EnvConfig{PoolSize: 8 << 20})
+func RunA3(pages int, eng hart.Engine) (A3Result, error) {
+	e := NewEnv(EnvConfig{Engine: eng, PoolSize: 8 << 20})
 	vm, err := e.HV.CreateCVM(e.H, "a3", touchProgram(pages), hv.GuestRAMBase)
 	if err != nil {
 		return A3Result{}, err
@@ -191,12 +192,12 @@ func (r A4Result) Format() []string {
 
 // RunA4 measures entry latency across shared-window sizes for both
 // configurations.
-func RunA4() (A4Result, error) {
+func RunA4(eng hart.Engine) (A4Result, error) {
 	res := A4Result{}
 	for _, pages := range []int{0, 4, 16, 64} {
 		row := A4Row{SharedPages: pages}
 		for _, validate := range []bool{false, true} {
-			e := NewEnv(EnvConfig{SM: sm.Config{
+			e := NewEnv(EnvConfig{Engine: eng, SM: sm.Config{
 				ValidateSharedOnEntry: validate,
 				SchedQuantum:          20_000,
 			}})

@@ -1,9 +1,13 @@
 package bench
 
-import "testing"
+import (
+	"testing"
+
+	"zion/internal/hart"
+)
 
 func TestE1ShapeMatchesPaper(t *testing.T) {
-	r, err := RunE1(200)
+	r, err := RunE1(200, hart.EngineTrace)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +31,7 @@ func TestE1ShapeMatchesPaper(t *testing.T) {
 }
 
 func TestE2ShapeMatchesPaper(t *testing.T) {
-	r, err := RunE2(200)
+	r, err := RunE2(200, hart.EngineTrace)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +57,7 @@ func TestE2ShapeMatchesPaper(t *testing.T) {
 }
 
 func TestE3ShapeMatchesPaper(t *testing.T) {
-	r, err := RunE3(1536)
+	r, err := RunE3(1536, hart.EngineTrace)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,8 +2,10 @@
 // table and figure in the paper's evaluation (§V). Each experiment has a
 // Run function returning a structured result with paper-style rows; the
 // zionbench command and the repository's Go benchmarks are thin wrappers
-// around them. The experiment-to-module map lives in DESIGN.md; the
-// paper-vs-measured record lives in EXPERIMENTS.md.
+// around them. Each Run function takes the hart.Engine its stacks execute
+// on; every simulated number is bit-identical on every engine. The
+// experiment-to-module map lives in DESIGN.md; the paper-vs-measured
+// record lives in EXPERIMENTS.md.
 package bench
 
 import (
@@ -131,6 +133,9 @@ type EnvConfig struct {
 	// Harts is the hart count (0 = 1). Multi-hart environments drive the
 	// extra harts through platform.RunParallel or per-hart run loops.
 	Harts int
+	// Engine is every hart's execution tier (zero value: the default
+	// trace engine). Simulated results are identical on every tier.
+	Engine hart.Engine
 }
 
 // NewEnv boots a stack: machine, Secure Monitor, hypervisor, one secure
@@ -146,6 +151,9 @@ func NewEnv(cfg EnvConfig) *Env {
 		cfg.Harts = 1
 	}
 	m := platform.New(cfg.Harts, cfg.RAMSize)
+	for _, hh := range m.Harts {
+		hh.SetEngine(cfg.Engine)
+	}
 	sc := benchSink.Scope()
 	if sc != nil && cfg.SM.Telemetry == nil {
 		cfg.SM.Telemetry = sc

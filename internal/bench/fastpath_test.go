@@ -9,62 +9,48 @@ import (
 )
 
 // runBothWays executes run once per engine — compiled trace, superblock,
-// per-instruction fast path, and pure slow path — and fails unless the
-// results — every simulated cycle count, score, and percentage in the
-// paper tables — are bit-identical across all four. This is the automated
-// form of the PRs' core guarantee: each engine is an accelerator, never a
-// semantic change.
-func runBothWays[T any](t *testing.T, name string, run func() (T, error)) {
+// and the slow reference interpreter — and fails unless the results —
+// every simulated cycle count, score, and percentage in the paper tables
+// — are bit-identical across all three. This is the automated form of the
+// engines' core guarantee: each is an accelerator, never a semantic
+// change.
+func runBothWays[T any](t *testing.T, name string, run func(hart.Engine) (T, error)) {
 	t.Helper()
-	oldFP, oldSB, oldTC := hart.DefaultFastPath, hart.DefaultSuperblocks, hart.DefaultTraces
-	defer func() {
-		hart.DefaultFastPath, hart.DefaultSuperblocks, hart.DefaultTraces = oldFP, oldSB, oldTC
-	}()
-
-	engines := []struct {
-		name         string
-		fast, sb, tc bool
-	}{
-		{"trace", true, true, true},
-		{"block", true, true, false},
-		{"fast", true, false, false},
-		{"slow", false, false, false},
-	}
+	engines := hart.Engines()
 	var ref T
-	for i, e := range engines {
-		hart.DefaultFastPath, hart.DefaultSuperblocks, hart.DefaultTraces = e.fast, e.sb, e.tc
-		got, err := run()
+	for i, eng := range engines {
+		got, err := run(eng)
 		if err != nil {
-			t.Fatalf("%s (%s): %v", name, e.name, err)
+			t.Fatalf("%s (%v): %v", name, eng, err)
 		}
 		if i == 0 {
 			ref = got
 			continue
 		}
 		if !reflect.DeepEqual(ref, got) {
-			t.Errorf("%s: %s engine result differs from %s\n%s: %+v\n%s: %+v",
-				name, engines[0].name, e.name, engines[0].name, ref, e.name, got)
+			t.Errorf("%s: %v engine result differs from %v\n%v: %+v\n%v: %+v",
+				name, eng, engines[0], engines[0], ref, eng, got)
 		}
 	}
 }
 
 func TestFastPathBitIdenticalMicro(t *testing.T) {
-	runBothWays(t, "E1", func() (E1Result, error) { return RunE1(50) })
-	runBothWays(t, "E2", func() (E2Result, error) { return RunE2(50) })
-	runBothWays(t, "E3", func() (E3Result, error) { return RunE3(256) })
+	runBothWays(t, "E1", func(e hart.Engine) (E1Result, error) { return RunE1(50, e) })
+	runBothWays(t, "E2", func(e hart.Engine) (E2Result, error) { return RunE2(50, e) })
+	runBothWays(t, "E3", func(e hart.Engine) (E3Result, error) { return RunE3(256, e) })
 }
 
 func TestFastPathBitIdenticalMacro(t *testing.T) {
-	runBothWays(t, "T1", func() (T1Result, error) { return RunT1(16) })
-	runBothWays(t, "E4", func() (E4Result, error) { return RunE4(16) })
-	runBothWays(t, "F3", func() (F3Result, error) { return RunF3(3) })
+	runBothWays(t, "T1", func(e hart.Engine) (T1Result, error) { return RunT1(16, e) })
+	runBothWays(t, "E4", func(e hart.Engine) (E4Result, error) { return RunE4(16, e) })
+	runBothWays(t, "F3", func(e hart.Engine) (F3Result, error) { return RunF3(3, e) })
 }
 
 func TestFastPathBitIdenticalF4(t *testing.T) {
 	if testing.Short() {
 		t.Skip("F4 sweep is slow")
 	}
-	runBothWays(t, "F4", func() (F4Result, error) { return RunF4() })
+	runBothWays(t, "F4", func(e hart.Engine) (F4Result, error) { return RunF4(e) })
 }
 
 // Arming the telemetry sink must not change a single simulated number:
@@ -75,7 +61,7 @@ func TestFastPathTelemetryOffBitIdentity(t *testing.T) {
 			SetTelemetry(telemetry.New(telemetry.Config{}))
 		}
 		defer SetTelemetry(nil)
-		return RunE2(50)
+		return RunE2(50, hart.EngineTrace)
 	}
 	on, err := run(true)
 	if err != nil {
@@ -92,8 +78,8 @@ func TestFastPathTelemetryOffBitIdentity(t *testing.T) {
 }
 
 func TestFastPathBitIdenticalAblations(t *testing.T) {
-	runBothWays(t, "A1", func() (A1Result, error) { return RunA1(16) })
-	runBothWays(t, "A2", func() (A2Result, error) { return RunA2(100) })
-	runBothWays(t, "A3", func() (A3Result, error) { return RunA3(500) })
-	runBothWays(t, "A4", func() (A4Result, error) { return RunA4() })
+	runBothWays(t, "A1", func(e hart.Engine) (A1Result, error) { return RunA1(16, e) })
+	runBothWays(t, "A2", func(e hart.Engine) (A2Result, error) { return RunA2(100, e) })
+	runBothWays(t, "A3", func(e hart.Engine) (A3Result, error) { return RunA3(500, e) })
+	runBothWays(t, "A4", func(e hart.Engine) (A4Result, error) { return RunA4(e) })
 }

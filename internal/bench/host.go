@@ -15,29 +15,24 @@ import (
 )
 
 // HostRow compares host-side throughput for one guest workload executed
-// with each engine: "trace" (compiled-trace dispatch on top of
-// superblocks), "block" (superblock + event-horizon batching), "fast"
-// (per-instruction fast path), and the pure slow path. Simulated cycles
-// are included because they must match exactly across all four — the
-// host benchmark doubles as an end-to-end bit-identity check. The Block*
-// and Trace* fields are absent in files written before those engines
-// existed.
+// on each engine: "trace" (compiled-trace dispatch on top of
+// superblocks), "block" (superblock + event-horizon batching), and the
+// "slow" reference interpreter. Simulated cycles are included because
+// they must match exactly across all three — the host benchmark doubles
+// as an end-to-end bit-identity check.
 type HostRow struct {
 	Name         string  `json:"name"`
 	Instructions uint64  `json:"instructions"`
 	Cycles       uint64  `json:"simulated_cycles"`
 	TraceSeconds float64 `json:"trace_seconds,omitempty"`
 	BlockSeconds float64 `json:"block_seconds,omitempty"`
-	FastSeconds  float64 `json:"fast_seconds"`
 	SlowSeconds  float64 `json:"slow_seconds"`
 	TraceMIPS    float64 `json:"trace_mips,omitempty"`
 	BlockMIPS    float64 `json:"block_mips,omitempty"`
-	FastMIPS     float64 `json:"fast_mips"`
 	SlowMIPS     float64 `json:"slow_mips"`
-	// Speedup is fast/slow MIPS; BlockSpeedup is block/slow MIPS;
-	// TraceSpeedup is trace/slow MIPS. TraceOverBlock is trace/block MIPS —
-	// the tier-over-tier ratio the trace floor gates.
-	Speedup        float64 `json:"speedup"`
+	// BlockSpeedup is block/slow MIPS; TraceSpeedup is trace/slow MIPS.
+	// TraceOverBlock is trace/block MIPS — the tier-over-tier ratio the
+	// trace floor gates.
 	BlockSpeedup   float64 `json:"block_speedup,omitempty"`
 	TraceSpeedup   float64 `json:"trace_speedup,omitempty"`
 	TraceOverBlock float64 `json:"trace_over_block,omitempty"`
@@ -51,10 +46,9 @@ type HostResult struct {
 	// regression target is exactly 0.
 	ScalarReadAllocs  float64 `json:"scalar_read_allocs_per_op"`
 	ScalarWriteAllocs float64 `json:"scalar_write_allocs_per_op"`
-	MinSpeedup        float64 `json:"min_speedup"`
 	// MinBlockSpeedup is the worst block-engine speedup over slow across
-	// the workloads (0 in files predating the superblock engine);
-	// MinTraceSpeedup and MinTraceOverBlock are the trace-tier analogues.
+	// the workloads; MinTraceSpeedup and MinTraceOverBlock are the
+	// trace-tier analogues.
 	MinBlockSpeedup   float64 `json:"min_block_speedup,omitempty"`
 	MinTraceSpeedup   float64 `json:"min_trace_speedup,omitempty"`
 	MinTraceOverBlock float64 `json:"min_trace_over_block,omitempty"`
@@ -117,12 +111,12 @@ type TraceAmortResult struct {
 
 // Format renders a human summary.
 func (r HostResult) Format() []string {
-	out := []string{fmt.Sprintf("%-10s %12s %11s %11s %10s %10s %8s %8s %8s %9s",
-		"workload", "instructions", "trace MIPS", "block MIPS", "fast MIPS", "slow MIPS", "trace", "block", "fast", "trc/blk")}
+	out := []string{fmt.Sprintf("%-10s %12s %11s %11s %10s %8s %8s %9s",
+		"workload", "instructions", "trace MIPS", "block MIPS", "slow MIPS", "trace", "block", "trc/blk")}
 	for _, row := range r.Rows {
-		out = append(out, fmt.Sprintf("%-10s %12d %11.2f %11.2f %10.2f %10.2f %7.2fx %7.2fx %7.2fx %8.2fx",
-			row.Name, row.Instructions, row.TraceMIPS, row.BlockMIPS, row.FastMIPS, row.SlowMIPS,
-			row.TraceSpeedup, row.BlockSpeedup, row.Speedup, row.TraceOverBlock))
+		out = append(out, fmt.Sprintf("%-10s %12d %11.2f %11.2f %10.2f %7.2fx %7.2fx %8.2fx",
+			row.Name, row.Instructions, row.TraceMIPS, row.BlockMIPS, row.SlowMIPS,
+			row.TraceSpeedup, row.BlockSpeedup, row.TraceOverBlock))
 	}
 	out = append(out, fmt.Sprintf("scalar mem path: %.2f allocs/op read, %.2f allocs/op write",
 		r.ScalarReadAllocs, r.ScalarWriteAllocs))
@@ -163,9 +157,9 @@ func (r HostResult) Format() []string {
 //     match the baseline exactly — any drift means the simulation changed
 //     behaviour, which is a correctness failure, not a perf one. The
 //     parallel section must report Deterministic.
-//   - Throughput: per-workload fast-path speedup (fast/slow MIPS, a
-//     machine-relative ratio) must not regress more than 20% below the
-//     baseline ratio. Absolute MIPS is deliberately not gated — CI runners
+//   - Throughput: per-workload block and trace speedups over the slow
+//     engine (machine-relative ratios) must not regress more than 20%
+//     below the baseline ratios. Absolute MIPS is deliberately not gated — CI runners
 //     differ — and the parallel speedup is gated only when the host has
 //     enough cores for the baseline ratio to be reproducible.
 func CheckHostRegression(baseline, current HostResult) error {
@@ -181,10 +175,6 @@ func CheckHostRegression(baseline, current HostResult) error {
 		if r.Instructions != b.Instructions || r.Cycles != b.Cycles {
 			return fmt.Errorf("host gate: %s simulation fingerprint diverged: instructions %d vs baseline %d, cycles %d vs baseline %d",
 				r.Name, r.Instructions, b.Instructions, r.Cycles, b.Cycles)
-		}
-		if b.Speedup > 0 && r.Speedup < b.Speedup*0.8 {
-			return fmt.Errorf("host gate: %s fast-path speedup regressed >20%%: %.2fx vs baseline %.2fx",
-				r.Name, r.Speedup, b.Speedup)
 		}
 		if b.BlockSpeedup > 0 && r.BlockSpeedup < b.BlockSpeedup*0.8 {
 			return fmt.Errorf("host gate: %s superblock speedup regressed >20%%: %.2fx vs baseline %.2fx",
@@ -287,14 +277,6 @@ type hostSample struct {
 	fp      hart.FastPathStats // engine counters at completion (zero for slow)
 }
 
-// Engine names accepted by runHostOnce.
-const (
-	EngineSlow  = "slow"  // pure interpreter
-	EngineFast  = "fast"  // per-instruction fast path (PR 3)
-	EngineBlock = "block" // superblock dispatch with event-horizon batching (PR 5)
-	EngineTrace = "trace" // compiled-trace dispatch on top of superblocks (PR 8)
-)
-
 // MinTraceOverBlockFloor is the CheckHostRegression floor on the trace
 // tier's per-workload speedup over the superblock engine. The measured
 // full-scale ratios (BENCH_host.json) leave clear headroom over it.
@@ -302,16 +284,8 @@ const MinTraceOverBlockFloor = 1.5
 
 // runHostOnce boots a fresh stack with the selected engine and drives the
 // kernel to completion inside a CVM, timing only the guest run.
-func runHostOnce(k workloads.Kernel, scale int, engine string) (hostSample, error) {
-	oldFP, oldSB, oldTC := hart.DefaultFastPath, hart.DefaultSuperblocks, hart.DefaultTraces
-	hart.DefaultFastPath = engine != EngineSlow
-	hart.DefaultSuperblocks = engine == EngineBlock || engine == EngineTrace
-	hart.DefaultTraces = engine == EngineTrace
-	defer func() {
-		hart.DefaultFastPath, hart.DefaultSuperblocks, hart.DefaultTraces = oldFP, oldSB, oldTC
-	}()
-
-	e := NewEnv(EnvConfig{SM: sm.Config{SchedQuantum: rv8TickQuantum()}})
+func runHostOnce(k workloads.Kernel, scale int, eng hart.Engine) (hostSample, error) {
+	e := NewEnv(EnvConfig{Engine: eng, SM: sm.Config{SchedQuantum: rv8TickQuantum()}})
 	img := workloads.Program(k, scale)
 	cvm, err := e.HV.CreateCVM(e.H, k.Name, img, hv.GuestRAMBase)
 	if err != nil {
@@ -352,8 +326,8 @@ func scalarAllocs() (read, write float64) {
 }
 
 // RunHost measures host instructions/second on the T1 aes and E4 CoreMark
-// CVM drivers under all four engines: compiled trace, superblock,
-// per-instruction fast path, and pure slow path. scaleDiv divides workload scales like the
+// CVM drivers on all three engines: compiled trace, superblock, and the
+// slow reference interpreter. scaleDiv divides workload scales like the
 // other experiments (1 = full paper scale). It errors if any workload's
 // simulated cycle or instruction count differs between any two engines —
 // the bit-identity guarantee, enforced where the numbers are produced.
@@ -378,7 +352,7 @@ func RunHost(scaleDiv int) (HostResult, error) {
 	}
 	kernels = append(kernels, hostKernel{workloads.Coremark(), 1})
 
-	res := HostResult{MinSpeedup: 0}
+	res := HostResult{}
 	amort := TraceAmortResult{}
 	var savedSeconds float64
 	var savedOps uint64
@@ -387,23 +361,19 @@ func RunHost(scaleDiv int) (HostResult, error) {
 		if scale < 8 {
 			scale = 8
 		}
-		trace, err := runHostOnce(k.Kernel, scale, EngineTrace)
+		trace, err := runHostOnce(k.Kernel, scale, hart.EngineTrace)
 		if err != nil {
 			return res, fmt.Errorf("%s trace: %w", k.Name, err)
 		}
-		block, err := runHostOnce(k.Kernel, scale, EngineBlock)
+		block, err := runHostOnce(k.Kernel, scale, hart.EngineBlock)
 		if err != nil {
 			return res, fmt.Errorf("%s block: %w", k.Name, err)
 		}
-		fast, err := runHostOnce(k.Kernel, scale, EngineFast)
-		if err != nil {
-			return res, fmt.Errorf("%s fast: %w", k.Name, err)
-		}
-		slow, err := runHostOnce(k.Kernel, scale, EngineSlow)
+		slow, err := runHostOnce(k.Kernel, scale, hart.EngineSlow)
 		if err != nil {
 			return res, fmt.Errorf("%s slow: %w", k.Name, err)
 		}
-		for _, s := range []hostSample{trace, block, fast} {
+		for _, s := range []hostSample{trace, block} {
 			if s.cycles != slow.cycles || s.instr != slow.instr {
 				return res, fmt.Errorf("%s: engine divergence from slow path: cycles %d vs %d, instret %d vs %d",
 					k.Name, s.cycles, slow.cycles, s.instr, slow.instr)
@@ -411,19 +381,16 @@ func RunHost(scaleDiv int) (HostResult, error) {
 		}
 		row := HostRow{
 			Name:         k.Name,
-			Instructions: fast.instr,
-			Cycles:       fast.cycles,
+			Instructions: slow.instr,
+			Cycles:       slow.cycles,
 			TraceSeconds: trace.seconds,
 			BlockSeconds: block.seconds,
-			FastSeconds:  fast.seconds,
 			SlowSeconds:  slow.seconds,
 			TraceMIPS:    float64(trace.instr) / trace.seconds / 1e6,
 			BlockMIPS:    float64(block.instr) / block.seconds / 1e6,
-			FastMIPS:     float64(fast.instr) / fast.seconds / 1e6,
 			SlowMIPS:     float64(slow.instr) / slow.seconds / 1e6,
 		}
 		if row.SlowMIPS > 0 {
-			row.Speedup = row.FastMIPS / row.SlowMIPS
 			row.BlockSpeedup = row.BlockMIPS / row.SlowMIPS
 			row.TraceSpeedup = row.TraceMIPS / row.SlowMIPS
 		}
@@ -431,9 +398,6 @@ func RunHost(scaleDiv int) (HostResult, error) {
 			row.TraceOverBlock = row.TraceMIPS / row.BlockMIPS
 		}
 		res.Rows = append(res.Rows, row)
-		if i == 0 || row.Speedup < res.MinSpeedup {
-			res.MinSpeedup = row.Speedup
-		}
 		if i == 0 || row.BlockSpeedup < res.MinBlockSpeedup {
 			res.MinBlockSpeedup = row.BlockSpeedup
 		}
@@ -500,7 +464,7 @@ func RunObservabilityOverhead(scaleDiv int) (ObsOverheadResult, error) {
 	}
 	res := ObsOverheadResult{
 		Workload:      k.Name,
-		Engine:        EngineBlock,
+		Engine:        hart.EngineBlock.String(),
 		ProfilePeriod: telemetry.DefaultProfilePeriod,
 		BitIdentical:  true,
 	}
@@ -511,12 +475,12 @@ func RunObservabilityOverhead(scaleDiv int) (ObsOverheadResult, error) {
 	var off, armed hostSample
 	for i := 0; i < 3; i++ {
 		SetTelemetry(nil)
-		o, err := runHostOnce(k, scale, EngineBlock)
+		o, err := runHostOnce(k, scale, hart.EngineBlock)
 		if err != nil {
 			return res, fmt.Errorf("off: %w", err)
 		}
 		SetTelemetry(telemetry.New(telemetry.Config{ProfilePeriod: telemetry.DefaultProfilePeriod}))
-		a, err := runHostOnce(k, scale, EngineBlock)
+		a, err := runHostOnce(k, scale, hart.EngineBlock)
 		SetTelemetry(nil)
 		if err != nil {
 			return res, fmt.Errorf("armed: %w", err)

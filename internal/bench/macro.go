@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"zion/internal/guest"
+	"zion/internal/hart"
 	"zion/internal/hv"
 	"zion/internal/sm"
 	"zion/internal/workloads"
@@ -36,7 +37,7 @@ func (r T1Result) Format() []string {
 
 // RunT1 runs the RV8 suite in both VM kinds. scaleDiv divides each
 // kernel's default scale (tests pass >1 to stay fast; 1 = full runs).
-func RunT1(scaleDiv int) (T1Result, error) {
+func RunT1(scaleDiv int, eng hart.Engine) (T1Result, error) {
 	res := T1Result{}
 	var sum float64
 	for _, k := range workloads.RV8() {
@@ -46,7 +47,7 @@ func RunT1(scaleDiv int) (T1Result, error) {
 		}
 		img := workloads.Program(k, scale)
 
-		en := NewEnv(EnvConfig{HVQuantum: rv8TickQuantum()})
+		en := NewEnv(EnvConfig{Engine: eng, HVQuantum: rv8TickQuantum()})
 		nvm, err := en.HV.CreateNormalVM(k.Name, img, hv.GuestRAMBase)
 		if err != nil {
 			return res, err
@@ -56,7 +57,7 @@ func RunT1(scaleDiv int) (T1Result, error) {
 			return res, fmt.Errorf("%s normal: %w", k.Name, err)
 		}
 
-		ec := NewEnv(EnvConfig{SM: sm.Config{SchedQuantum: rv8TickQuantum()}})
+		ec := NewEnv(EnvConfig{Engine: eng, SM: sm.Config{SchedQuantum: rv8TickQuantum()}})
 		cvm, err := ec.HV.CreateCVM(ec.H, k.Name, img, hv.GuestRAMBase)
 		if err != nil {
 			return res, err
@@ -91,7 +92,7 @@ func (r E4Result) Rows() []string {
 // RunE4 runs the CoreMark-like kernel in both VM kinds; the score is
 // iterations per hundred megacycles (scaled to land near the paper's
 // numeric range).
-func RunE4(scaleDiv int) (E4Result, error) {
+func RunE4(scaleDiv int, eng hart.Engine) (E4Result, error) {
 	k := workloads.Coremark()
 	scale := k.DefaultScale / scaleDiv
 	if scale < 8 {
@@ -99,7 +100,7 @@ func RunE4(scaleDiv int) (E4Result, error) {
 	}
 	img := workloads.Program(k, scale)
 
-	en := NewEnv(EnvConfig{HVQuantum: rv8TickQuantum()})
+	en := NewEnv(EnvConfig{Engine: eng, HVQuantum: rv8TickQuantum()})
 	nvm, err := en.HV.CreateNormalVM("coremark", img, hv.GuestRAMBase)
 	if err != nil {
 		return E4Result{}, err
@@ -109,7 +110,7 @@ func RunE4(scaleDiv int) (E4Result, error) {
 		return E4Result{}, err
 	}
 
-	ec := NewEnv(EnvConfig{SM: sm.Config{SchedQuantum: rv8TickQuantum()}})
+	ec := NewEnv(EnvConfig{Engine: eng, SM: sm.Config{SchedQuantum: rv8TickQuantum()}})
 	cvm, err := ec.HV.CreateCVM(ec.H, "coremark", img, hv.GuestRAMBase)
 	if err != nil {
 		return E4Result{}, err
@@ -183,7 +184,7 @@ func (c *redisClient) do(op workloads.RedisOp, key, val uint64) (uint64, error) 
 
 // RunF3 benchmarks the Redis-like server in both VM kinds with `requests`
 // operations per op type.
-func RunF3(requests int) (F3Result, error) {
+func RunF3(requests int, eng hart.Engine) (F3Result, error) {
 	ops := []struct {
 		name string
 		op   workloads.RedisOp
@@ -196,7 +197,7 @@ func RunF3(requests int) (F3Result, error) {
 	}
 	type stats struct{ tput, lat float64 }
 	measure := func(confidential bool) (map[string]stats, error) {
-		e := NewEnv(EnvConfig{})
+		e := NewEnv(EnvConfig{Engine: eng})
 		l := guest.LayoutFor(confidential)
 		img := workloads.RedisServerProgram(l)
 		var vm *hv.VM
@@ -292,11 +293,11 @@ func (r F4Result) Format() []string {
 }
 
 // RunF4 runs the IOZone sweep in both VM kinds.
-func RunF4() (F4Result, error) {
+func RunF4(eng hart.Engine) (F4Result, error) {
 	res := F4Result{}
 	for _, prm := range workloads.IOZoneSweep() {
 		run := func(confidential bool) (uint64, error) {
-			e := NewEnv(EnvConfig{})
+			e := NewEnv(EnvConfig{Engine: eng})
 			l := guest.LayoutFor(confidential)
 			img := workloads.IOZoneProgram(l, prm)
 			var vm *hv.VM

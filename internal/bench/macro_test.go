@@ -1,6 +1,10 @@
 package bench
 
-import "testing"
+import (
+	"testing"
+
+	"zion/internal/hart"
+)
 
 // Fast smoke variants of the macro experiments: they verify the harness
 // plumbing end-to-end (both VM kinds boot, run, self-measure, and report)
@@ -8,7 +12,7 @@ import "testing"
 // scale (see the shape tests for E1-E3 and zionbench for the rest).
 
 func TestT1HarnessRuns(t *testing.T) {
-	r, err := RunT1(16)
+	r, err := RunT1(16, hart.EngineTrace)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +30,7 @@ func TestT1HarnessRuns(t *testing.T) {
 }
 
 func TestE4HarnessRuns(t *testing.T) {
-	r, err := RunE4(16)
+	r, err := RunE4(16, hart.EngineTrace)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +43,7 @@ func TestE4HarnessRuns(t *testing.T) {
 }
 
 func TestF3HarnessRuns(t *testing.T) {
-	r, err := RunF3(3)
+	r, err := RunF3(3, hart.EngineTrace)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +64,7 @@ func TestF3HarnessRuns(t *testing.T) {
 }
 
 func TestA1A2A3HarnessesRun(t *testing.T) {
-	a1, err := RunA1(16)
+	a1, err := RunA1(16, hart.EngineTrace)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +75,7 @@ func TestA1A2A3HarnessesRun(t *testing.T) {
 		t.Errorf("zion reached = %d/16", a1.ZionReached)
 	}
 
-	a2, err := RunA2(100)
+	a2, err := RunA2(100, hart.EngineTrace)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +83,7 @@ func TestA1A2A3HarnessesRun(t *testing.T) {
 		t.Errorf("sync %d vs split %d: expected >10x gap", a2.SyncCycles, a2.SplitCycles)
 	}
 
-	a3, err := RunA3(500)
+	a3, err := RunA3(500, hart.EngineTrace)
 	if err != nil {
 		t.Fatal(err)
 	}

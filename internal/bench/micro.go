@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"zion/internal/asm"
+	"zion/internal/hart"
 	"zion/internal/hv"
 	"zion/internal/sm"
 	"zion/internal/telemetry"
@@ -78,10 +79,10 @@ func (r E1Result) Rows() []string {
 }
 
 // RunE1 measures the shared-vCPU optimization over `iters` MMIO exits.
-func RunE1(iters int) (E1Result, error) {
+func RunE1(iters int, eng hart.Engine) (E1Result, error) {
 	res := E1Result{Iterations: iters}
 	for _, disable := range []bool{true, false} {
-		e := NewEnv(EnvConfig{SM: sm.Config{DisableSharedVCPU: disable}})
+		e := NewEnv(EnvConfig{Engine: eng, SM: sm.Config{DisableSharedVCPU: disable}})
 		vm, err := e.HV.CreateCVM(e.H, "e1", mmioLoopProgram(iters), hv.GuestRAMBase)
 		if err != nil {
 			return res, err
@@ -125,10 +126,10 @@ func (r E2Result) Rows() []string {
 }
 
 // RunE2 measures the short-path optimization over `iters` timer exits.
-func RunE2(iters int) (E2Result, error) {
+func RunE2(iters int, eng hart.Engine) (E2Result, error) {
 	res := E2Result{Iterations: iters}
 	for _, long := range []bool{true, false} {
-		e := NewEnv(EnvConfig{SM: sm.Config{LongPath: long, SchedQuantum: 20_000}})
+		e := NewEnv(EnvConfig{Engine: eng, SM: sm.Config{LongPath: long, SchedQuantum: 20_000}})
 		// Spin long enough for ~iters quantum expirations.
 		vm, err := e.HV.CreateCVM(e.H, "e2", spinProgram(int64(iters)*6_000), hv.GuestRAMBase)
 		if err != nil {
@@ -189,11 +190,11 @@ func touchProgram(n int) []byte {
 }
 
 // RunE3 measures page-fault handling across `pages` first touches.
-func RunE3(pages int) (E3Result, error) {
+func RunE3(pages int, eng hart.Engine) (E3Result, error) {
 	res := E3Result{}
 
 	// Normal VM: KVM fault path.
-	e := NewEnv(EnvConfig{})
+	e := NewEnv(EnvConfig{Engine: eng})
 	nvm, err := e.HV.CreateNormalVM("e3n", touchProgram(pages), hv.GuestRAMBase)
 	if err != nil {
 		return res, err
@@ -204,7 +205,7 @@ func RunE3(pages int) (E3Result, error) {
 	res.NormalVM = float64(e.HV.S2FaultCycles) / float64(e.HV.S2FaultCount)
 
 	// Confidential VM with a pool small enough to force stage-3 rounds.
-	e2 := NewEnv(EnvConfig{PoolSize: 4 << 20})
+	e2 := NewEnv(EnvConfig{Engine: eng, PoolSize: 4 << 20})
 	cvm, err := e2.HV.CreateCVM(e2.H, "e3c", touchProgram(pages), hv.GuestRAMBase)
 	if err != nil {
 		return res, err

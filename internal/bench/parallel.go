@@ -95,20 +95,20 @@ func (e *Env) cvmRunner(k workloads.Kernel, scale int) platform.HartRunner {
 }
 
 // RunWorkloadCopies boots an n-hart stack and runs one private copy of
-// kernel k per hart: sequentially (hart 0 to completion, then hart 1, …)
-// when cfg is nil, or concurrently under the quantum-barrier engine
-// otherwise. It returns each hart's fingerprint plus the host wall-clock
-// seconds spent executing guests.
-func RunWorkloadCopies(k workloads.Kernel, scale, n int, cfg *platform.EngineConfig) ([]HartFingerprint, float64, error) {
-	fps, sec, _, err := runWorkloadCopiesStats(k, scale, n, cfg)
+// kernel k per hart on execution engine eng: sequentially (hart 0 to
+// completion, then hart 1, …) when cfg is nil, or concurrently under the
+// quantum-barrier engine otherwise. It returns each hart's fingerprint
+// plus the host wall-clock seconds spent executing guests.
+func RunWorkloadCopies(k workloads.Kernel, scale, n int, eng hart.Engine, cfg *platform.EngineConfig) ([]HartFingerprint, float64, error) {
+	fps, sec, _, err := runWorkloadCopiesStats(k, scale, n, eng, cfg)
 	return fps, sec, err
 }
 
 // runWorkloadCopiesStats is RunWorkloadCopies plus the engine's barrier
 // bookkeeping (zero value for sequential runs) — the scaling rows
 // record it.
-func runWorkloadCopiesStats(k workloads.Kernel, scale, n int, cfg *platform.EngineConfig) ([]HartFingerprint, float64, platform.EngineStats, error) {
-	e := NewEnv(EnvConfig{Harts: n, SM: sm.Config{SchedQuantum: rv8TickQuantum()}})
+func runWorkloadCopiesStats(k workloads.Kernel, scale, n int, eng hart.Engine, cfg *platform.EngineConfig) ([]HartFingerprint, float64, platform.EngineStats, error) {
+	e := NewEnv(EnvConfig{Harts: n, Engine: eng, SM: sm.Config{SchedQuantum: rv8TickQuantum()}})
 	runners := make([]platform.HartRunner, n)
 	for i := 0; i < n; i++ {
 		runners[i] = e.cvmRunner(k, scale)
@@ -265,11 +265,11 @@ func RunParallelHost(scaleDiv, harts int, bc ParallelBenchConfig) (ParallelHostR
 		Quantum:   bc.Quantum,
 	}
 	for _, n := range scalingHartCounts(harts) {
-		seqFP, seqSec, _, err := runWorkloadCopiesStats(k, scale, n, nil)
+		seqFP, seqSec, _, err := runWorkloadCopiesStats(k, scale, n, hart.EngineTrace, nil)
 		if err != nil {
 			return res, err
 		}
-		parFP, parSec, st, err := runWorkloadCopiesStats(k, scale, n, &cfg)
+		parFP, parSec, st, err := runWorkloadCopiesStats(k, scale, n, hart.EngineTrace, &cfg)
 		if err != nil {
 			return res, err
 		}

@@ -30,7 +30,7 @@ func TestLockstepPaperWorkloads(t *testing.T) {
 		k := k
 		t.Run(k.Name, func(t *testing.T) {
 			scale := 64
-			seq, _, err := RunWorkloadCopies(k, scale, harts, nil)
+			seq, _, err := RunWorkloadCopies(k, scale, harts, hart.EngineTrace, nil)
 			if err != nil {
 				t.Fatalf("sequential: %v", err)
 			}
@@ -44,7 +44,7 @@ func TestLockstepPaperWorkloads(t *testing.T) {
 				{Quantum: 4096, Adaptive: true, MinQuantum: 512, MaxQuantum: 1 << 16},
 			} {
 				cfg := cfg
-				par, _, err := RunWorkloadCopies(k, scale, harts, &cfg)
+				par, _, err := RunWorkloadCopies(k, scale, harts, hart.EngineTrace, &cfg)
 				if err != nil {
 					t.Fatalf("parallel %+v: %v", cfg, err)
 				}
@@ -59,38 +59,22 @@ func TestLockstepPaperWorkloads(t *testing.T) {
 	}
 }
 
-// engineGrid is the full engine matrix: compiled trace, superblock,
-// per-instruction fast path, pure slow path.
-var engineGrid = []struct {
-	name         string
-	fast, sb, tc bool
-}{
-	{"trace", true, true, true},
-	{"block", true, true, false},
-	{"fast", true, false, false},
-	{"slow", false, false, false},
-}
-
 // TestParallelQuadEngineBitIdentity closes the engine/scheduling matrix:
 // the same two-hart quantum-barrier run must produce bit-identical
 // per-hart fingerprints under the compiled-trace tier, the superblock
-// engine, the per-instruction fast path, and the pure slow path. Together
-// with runBothWays (sequential quad-engine) and
-// TestQuadEngineLockstepPaperWorkloads (all nine tables), this pins every
-// cell of the slow/fast/block/trace × sequential/parallel grid.
+// engine, and the slow reference interpreter. Together with runBothWays
+// (sequential tri-engine) and TestQuadEngineLockstepPaperWorkloads (all
+// nine tables), this pins every cell of the slow/block/trace ×
+// sequential/parallel grid.
 func TestParallelQuadEngineBitIdentity(t *testing.T) {
-	oldFP, oldSB, oldTC := hart.DefaultFastPath, hart.DefaultSuperblocks, hart.DefaultTraces
-	defer func() {
-		hart.DefaultFastPath, hart.DefaultSuperblocks, hart.DefaultTraces = oldFP, oldSB, oldTC
-	}()
 	k := lockstepKernels()[0] // aes
 	cfg := platform.EngineConfig{Quantum: 4096}
+	engines := hart.Engines()
 	var ref []HartFingerprint
-	for i, e := range engineGrid {
-		hart.DefaultFastPath, hart.DefaultSuperblocks, hart.DefaultTraces = e.fast, e.sb, e.tc
-		fps, _, err := RunWorkloadCopies(k, 32, 2, &cfg)
+	for i, eng := range engines {
+		fps, _, err := RunWorkloadCopies(k, 32, 2, eng, &cfg)
 		if err != nil {
-			t.Fatalf("%s: %v", e.name, err)
+			t.Fatalf("%v: %v", eng, err)
 		}
 		if i == 0 {
 			ref = fps
@@ -98,33 +82,29 @@ func TestParallelQuadEngineBitIdentity(t *testing.T) {
 		}
 		for h := range ref {
 			if !ref[h].Equal(fps[h]) {
-				t.Errorf("hart %d: %s vs %s divergence:\n  %v\n  %v",
-					h, engineGrid[0].name, e.name, ref[h], fps[h])
+				t.Errorf("hart %d: %v vs %v divergence:\n  %v\n  %v",
+					h, engines[0], eng, ref[h], fps[h])
 			}
 		}
 	}
 }
 
-// TestQuadEngineLockstepPaperWorkloads proves bit-identity of all four
+// TestQuadEngineLockstepPaperWorkloads proves bit-identity of all three
 // execution tiers on every paper-table workload: the eight rv8 kernels
 // plus CoreMark, each run to completion under each engine, comparing the
 // full per-hart fingerprint (cycles, instret, trap mix, TLB/PMP/PTW
 // counters). This is the trace tier's end-to-end contract on the exact
 // code the evaluation tables are built from.
 func TestQuadEngineLockstepPaperWorkloads(t *testing.T) {
-	oldFP, oldSB, oldTC := hart.DefaultFastPath, hart.DefaultSuperblocks, hart.DefaultTraces
-	defer func() {
-		hart.DefaultFastPath, hart.DefaultSuperblocks, hart.DefaultTraces = oldFP, oldSB, oldTC
-	}()
+	engines := hart.Engines()
 	for _, k := range lockstepKernels() {
 		k := k
 		t.Run(k.Name, func(t *testing.T) {
 			var ref []HartFingerprint
-			for i, e := range engineGrid {
-				hart.DefaultFastPath, hart.DefaultSuperblocks, hart.DefaultTraces = e.fast, e.sb, e.tc
-				fps, _, err := RunWorkloadCopies(k, 32, 1, nil)
+			for i, eng := range engines {
+				fps, _, err := RunWorkloadCopies(k, 32, 1, eng, nil)
 				if err != nil {
-					t.Fatalf("%s: %v", e.name, err)
+					t.Fatalf("%v: %v", eng, err)
 				}
 				if i == 0 {
 					ref = fps
@@ -132,8 +112,8 @@ func TestQuadEngineLockstepPaperWorkloads(t *testing.T) {
 				}
 				for h := range ref {
 					if !ref[h].Equal(fps[h]) {
-						t.Errorf("hart %d: %s vs %s divergence:\n  %v\n  %v",
-							h, engineGrid[0].name, e.name, ref[h], fps[h])
+						t.Errorf("hart %d: %v vs %v divergence:\n  %v\n  %v",
+							h, engines[0], eng, ref[h], fps[h])
 					}
 				}
 			}
@@ -149,7 +129,7 @@ func TestQuadEngineLockstepPaperWorkloads(t *testing.T) {
 func TestConcurrentCVMCreation(t *testing.T) {
 	k := lockstepKernels()[0] // aes
 	cfg := platform.EngineConfig{Quantum: 4096}
-	first, _, err := RunWorkloadCopies(k, 8, 2, &cfg)
+	first, _, err := RunWorkloadCopies(k, 8, 2, hart.EngineTrace, &cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +138,7 @@ func TestConcurrentCVMCreation(t *testing.T) {
 			t.Errorf("hart %d retired no instructions", i)
 		}
 	}
-	again, _, err := RunWorkloadCopies(k, 8, 2, &cfg)
+	again, _, err := RunWorkloadCopies(k, 8, 2, hart.EngineTrace, &cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,12 +157,12 @@ func TestConcurrentCVMCreation(t *testing.T) {
 func TestFreeModeWorkloadEquivalence(t *testing.T) {
 	k := lockstepKernels()[0] // aes
 	block := platform.EngineConfig{Quantum: 4096}
-	ref, _, err := RunWorkloadCopies(k, 16, 2, &block)
+	ref, _, err := RunWorkloadCopies(k, 16, 2, hart.EngineTrace, &block)
 	if err != nil {
 		t.Fatal(err)
 	}
 	free := platform.EngineConfig{Quantum: 4096, Mode: platform.EngineFree}
-	got, _, err := RunWorkloadCopies(k, 16, 2, &free)
+	got, _, err := RunWorkloadCopies(k, 16, 2, hart.EngineTrace, &free)
 	if err != nil {
 		t.Fatal(err)
 	}

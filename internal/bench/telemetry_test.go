@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"testing"
 
+	"zion/internal/hart"
 	"zion/internal/telemetry"
 	"zion/internal/workloads"
 )
@@ -16,7 +17,7 @@ func runE1Traced(t *testing.T, iters int) ([]byte, *telemetry.Sink, E1Result) {
 	sink := telemetry.New(telemetry.Config{})
 	SetTelemetry(sink)
 	defer SetTelemetry(nil)
-	r, err := RunE1(iters)
+	r, err := RunE1(iters, hart.EngineTrace)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +47,7 @@ func TestAttributionSumsToHartTotals(t *testing.T) {
 	sink := telemetry.New(telemetry.Config{})
 	SetTelemetry(sink)
 	defer SetTelemetry(nil)
-	if _, err := RunE1(20); err != nil {
+	if _, err := RunE1(20, hart.EngineTrace); err != nil {
 		t.Fatal(err)
 	}
 	envs := telEnvs // capture before any reset
@@ -136,7 +137,7 @@ func TestTraceContainsWorldSwitchSpans(t *testing.T) {
 // profiler actively sampling at the default period.
 func TestTelemetryOffBitIdentical(t *testing.T) {
 	SetTelemetry(nil)
-	off, err := RunE1(20)
+	off, err := RunE1(20, hart.EngineTrace)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +154,7 @@ func TestTelemetryOffBitIdentical(t *testing.T) {
 	} {
 		sink := telemetry.New(telemetry.Config{ProfilePeriod: tc.period})
 		SetTelemetry(sink)
-		armed, err := RunE1(20)
+		armed, err := RunE1(20, hart.EngineTrace)
 		SetTelemetry(nil)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
@@ -175,11 +176,11 @@ func TestProfilerArmedEngineBitIdentity(t *testing.T) {
 		}
 	}
 	const scale = 64
-	for _, engine := range []string{EngineSlow, EngineFast, EngineBlock} {
+	for _, engine := range hart.Engines() {
 		SetTelemetry(nil)
 		base, err := runHostOnce(k, scale, engine)
 		if err != nil {
-			t.Fatalf("%s unarmed: %v", engine, err)
+			t.Fatalf("%v unarmed: %v", engine, err)
 		}
 		// An aggressive period exercises the sample hook on every engine's
 		// hot loop far more often than the default would.
@@ -188,14 +189,14 @@ func TestProfilerArmedEngineBitIdentity(t *testing.T) {
 		armed, err := runHostOnce(k, scale, engine)
 		SetTelemetry(nil)
 		if err != nil {
-			t.Fatalf("%s armed: %v", engine, err)
+			t.Fatalf("%v armed: %v", engine, err)
 		}
 		if base.cycles != armed.cycles || base.instr != armed.instr {
-			t.Errorf("%s: profiler perturbed the run: cycles %d->%d instret %d->%d",
+			t.Errorf("%v: profiler perturbed the run: cycles %d->%d instret %d->%d",
 				engine, base.cycles, armed.cycles, base.instr, armed.instr)
 		}
 		if len(sink.ProfileMatrix()) == 0 {
-			t.Errorf("%s: armed run collected no samples", engine)
+			t.Errorf("%v: armed run collected no samples", engine)
 		}
 	}
 }
@@ -208,7 +209,7 @@ func TestProfileMatrixSumsToAttribution(t *testing.T) {
 	sink := telemetry.New(telemetry.Config{ProfilePeriod: telemetry.DefaultProfilePeriod})
 	SetTelemetry(sink)
 	defer SetTelemetry(nil)
-	if _, err := RunE1(20); err != nil {
+	if _, err := RunE1(20, hart.EngineTrace); err != nil {
 		t.Fatal(err)
 	}
 	FlushTelemetry()
@@ -241,7 +242,7 @@ func TestFoldedProfileSeededDeterminism(t *testing.T) {
 		sink := telemetry.New(telemetry.Config{ProfilePeriod: telemetry.DefaultProfilePeriod})
 		SetTelemetry(sink)
 		defer SetTelemetry(nil)
-		if _, err := RunE1(20); err != nil {
+		if _, err := RunE1(20, hart.EngineTrace); err != nil {
 			t.Fatal(err)
 		}
 		FlushTelemetry()

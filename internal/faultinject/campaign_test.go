@@ -1,14 +1,23 @@
 package faultinject
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
-// TestSeededCampaign is the acceptance gate: a seeded campaign of 500+
-// faults across all classes must be fully absorbed — zero breaches, zero
-// missed detections, zero secure-page leaks, clean final audit, and every
-// bystander CVM completing with correct results while faulted CVMs are
-// quarantined.
+// TestSeededCampaign is the acceptance gate, run at the `zionbench -e fi`
+// defaults (seeds 0-4, 500 faults each): every campaign must be fully
+// absorbed — zero breaches, zero missed detections, zero secure-page
+// leaks, clean final audit, and every bystander CVM completing with
+// correct results while faulted CVMs are quarantined.
 func TestSeededCampaign(t *testing.T) {
-	rep, err := Run(CampaignConfig{Seed: 1, Faults: 500})
+	for seed := int64(0); seed < 5; seed++ {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) { checkCampaign(t, seed) })
+	}
+}
+
+func checkCampaign(t *testing.T, seed int64) {
+	rep, err := Run(CampaignConfig{Seed: seed, Faults: 500})
 	if err != nil {
 		t.Fatal(err)
 	}

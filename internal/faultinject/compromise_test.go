@@ -10,7 +10,8 @@ import (
 // bystander CVMs must complete bit-identically to a fault-free reference
 // (or, for the world switch, be refused with a typed error and drain
 // through forced teardown), and the invariant auditor must stay clean on
-// every surviving compartment.
+// every surviving compartment. Seed 1 over the full scenario matrix is
+// the `zionbench -e fic` default.
 func TestCompromiseCampaign(t *testing.T) {
 	rep, err := RunCompromise(CompromiseConfig{Seed: 1})
 	if err != nil {

@@ -62,15 +62,10 @@ func blkMQProgram(l DMALayout) []byte {
 
 // runBlkMQOnce boots a fresh stack with the selected engine tier and
 // runs the MQ program in a CVM, returning the simulation fingerprint.
-func runBlkMQOnce(t *testing.T, fastpath, superblocks, traces bool) (cycles, instret uint64, blk *virtio.Blk) {
+func runBlkMQOnce(t *testing.T, eng hart.Engine) (cycles, instret uint64, blk *virtio.Blk) {
 	t.Helper()
-	oldFP, oldSB, oldTC := hart.DefaultFastPath, hart.DefaultSuperblocks, hart.DefaultTraces
-	hart.DefaultFastPath, hart.DefaultSuperblocks, hart.DefaultTraces = fastpath, superblocks, traces
-	defer func() {
-		hart.DefaultFastPath, hart.DefaultSuperblocks, hart.DefaultTraces = oldFP, oldSB, oldTC
-	}()
-
 	k, h := newStack(t, sm.Config{})
+	h.SetEngine(eng)
 	l := LayoutFor(true)
 	vm, err := k.CreateCVM(h, "cvm-mq", blkMQProgram(l), hv.GuestRAMBase)
 	if err != nil {
@@ -92,35 +87,26 @@ func runBlkMQOnce(t *testing.T, fastpath, superblocks, traces bool) (cycles, ins
 }
 
 // TestCVMBlkMQLockstep drives the two-queue interpreted driver under all
-// four execution tiers and demands a bit-identical simulation
+// three execution tiers and demands a bit-identical simulation
 // fingerprint — the MQ data path must not perturb engine equivalence.
 func TestCVMBlkMQLockstep(t *testing.T) {
-	engines := []struct {
-		name             string
-		fast, super, trc bool
-	}{
-		{"slow", false, false, false},
-		{"fast", true, false, false},
-		{"block", true, true, false},
-		{"trace", true, true, true},
-	}
 	var refCycles, refInstret uint64
-	for i, e := range engines {
-		cycles, instret, blk := runBlkMQOnce(t, e.fast, e.super, e.trc)
+	for i, eng := range hart.Engines() {
+		cycles, instret, blk := runBlkMQOnce(t, eng)
 		if blk.Writes != 1 || blk.Reads != 1 {
-			t.Fatalf("%s: blk ops %d writes %d reads", e.name, blk.Writes, blk.Reads)
+			t.Fatalf("%v: blk ops %d writes %d reads", eng, blk.Writes, blk.Reads)
 		}
 		want := bytes.Repeat([]byte{0x6B}, 512)
 		if !bytes.Equal(blk.Disk()[5*virtio.SectorSize:5*virtio.SectorSize+512], want) {
-			t.Fatalf("%s: disk content mismatch", e.name)
+			t.Fatalf("%v: disk content mismatch", eng)
 		}
 		if i == 0 {
 			refCycles, refInstret = cycles, instret
 			continue
 		}
 		if cycles != refCycles || instret != refInstret {
-			t.Errorf("%s diverged from slow: cycles %d vs %d, instret %d vs %d",
-				e.name, cycles, refCycles, instret, refInstret)
+			t.Errorf("%v diverged from %v: cycles %d vs %d, instret %d vs %d",
+				eng, hart.Engines()[0], cycles, refCycles, instret, refInstret)
 		}
 	}
 }

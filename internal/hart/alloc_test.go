@@ -13,9 +13,7 @@ import (
 // block would dominate the event-horizon win the engine exists for.
 func TestRunBatchSuperblockZeroAllocs(t *testing.T) {
 	h := newHart(t)
-	if !h.SuperblocksEnabled() {
-		t.Skip("superblocks disabled by default in this build")
-	}
+	h.SetEngine(EngineBlock)
 
 	// An infinite loop of straight-line ALU and memory work: long blocks
 	// separated by one JAL boundary, no traps (TrapCount is a map and its
@@ -63,5 +61,26 @@ func TestRunBatchSuperblockZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("armed superblock dispatch allocates %.1f allocs/op, want 0", allocs)
+	}
+}
+
+// The reference interpreter retires opcode-table ops through per-hart
+// operand scratch; an operand built on the stack and handed to the
+// indirect call would escape to the heap on every instruction. Step must
+// stay allocation-free on the slow engine.
+func TestStepSlowZeroAllocs(t *testing.T) {
+	h := newHart(t)
+	h.SetEngine(EngineSlow)
+	load(t, h, ramBase, traceAllocProgram())
+	run := func() {
+		for i := 0; i < 1024; i++ {
+			if ev := h.Step(); ev.Kind != EvNone {
+				t.Fatalf("step %d: unexpected event %v at pc=%#x", i, ev.Kind, h.PC)
+			}
+		}
+	}
+	run() // warm-up: TLB-free M-mode, nothing to fill
+	if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
+		t.Fatalf("slow Step allocates %.1f allocs per 1024 steps, want 0", allocs)
 	}
 }

@@ -5,25 +5,17 @@ import (
 	"zion/internal/telemetry"
 )
 
-// Step executes one instruction at PC in the hart's current mode and
-// returns the resulting event: EvNone for a retired instruction, EvTrap
-// when a trap entry occurred (including interrupts detected before the
-// fetch), and EvWFI when the hart idles.
+// Step is the reference interpreter: it executes one instruction at PC in
+// the hart's current mode and returns the resulting event: EvNone for a
+// retired instruction, EvTrap when a trap entry occurred (including
+// interrupts detected before the fetch), and EvWFI when the hart idles.
+// Every engine retires through the same execute(), so the block and trace
+// tiers are accelerators of exactly this function.
 func (h *Hart) Step() Event {
 	// Interrupts are sampled at instruction boundaries.
 	if cause, ok := h.PendingInterrupt(); ok {
 		t := h.TakeTrap(trapInfo{cause: cause})
 		return Event{Kind: EvTrap, Trap: t}
-	}
-
-	// The fast path replaces fetch+decode with a micro-TLB hit into a
-	// pre-decoded page; on any miss it declines and the slow path below
-	// runs unchanged. Both feed the same execute(), so semantics and cycle
-	// accounting are shared by construction.
-	if h.fp != nil {
-		if ev, ok := h.fp.step(h); ok {
-			return ev
-		}
 	}
 
 	raw, aerr := h.Fetch()
@@ -36,10 +28,11 @@ func (h *Hart) Step() Event {
 	return h.execute(isa.Decode(raw))
 }
 
-// RunBatch executes up to max Step-equivalents back-to-back on the fast
-// path. Boundary semantics are identical to the per-step run loops: the
-// timer comparator is checked against h.Cycles, MTIP is cleared while the
-// timer has not fired (mirroring tickTimer's else branch), and pending
+// RunBatch executes up to max Step-equivalents back-to-back on the hart's
+// engine (block or trace; the slow engine declines at once). Boundary
+// semantics are identical to the per-step run loops: the timer comparator
+// is checked against h.Cycles, MTIP is cleared while the timer has not
+// fired (mirroring tickTimer's else branch), and pending
 // interrupts are sampled — but the superblock engine performs those
 // checks once per straight-line run instead of once per instruction,
 // under an event-horizon proof (superblock.go) that no check inside the
@@ -50,7 +43,7 @@ func (h *Hart) Step() Event {
 // the terminating event (trap, WFI) which counts as the final step —
 // identical to what the same sequence of per-step calls would produce.
 // ok=false means the batch stopped without an event: timer fired,
-// fast-path miss, budget exhausted, or the guest touched a device (a bus
+// micro-TLB miss, budget exhausted, or the guest touched a device (a bus
 // access can rearm the hart's own CLINT comparator, making the caller's
 // deadline stale). In every ok=false case the caller should run one
 // ordinary tick+Step iteration — which re-samples the timer — before
@@ -70,8 +63,23 @@ func (h *Hart) RunBatch(deadline uint64, armed bool, max uint64) (uint64, Event,
 	return h.fp.runBatch(h, deadline, armed, max)
 }
 
-// execute retires one decoded instruction: the shared back half of Step.
+// execute retires one decoded instruction: the shared back half of Step
+// and of the superblock loop. Ops in the opcode table (optable.go) retire
+// through their row; the switch below owns everything that can trap or
+// touch memory, CSRs or privilege state.
 func (h *Hart) execute(in isa.Inst) Event {
+	if t := &opTable[in.Op]; t.sem != nil {
+		h.Instret++
+		h.Cycles += h.Cost.staticCost(t.class)
+		// Operands go through per-hart scratch: a stack copy passed to the
+		// indirect call would escape to the heap on every instruction.
+		o := &h.op
+		o.rd, o.rs1, o.rs2, o.imm = in.Rd, in.Rs1, in.Rs2, in.Imm
+		if t.sem(h, o) {
+			h.Cycles += h.Cost.Branch
+		}
+		return Event{Kind: EvNone}
+	}
 	raw := in.Raw
 	if in.Op == isa.OpInvalid {
 		return h.exception(trapInfo{cause: isa.ExcIllegalInst, tval: uint64(raw)})
@@ -86,41 +94,6 @@ func (h *Hart) execute(in isa.Inst) Event {
 	rs2 := x[in.Rs2]
 
 	switch in.Op {
-	case isa.OpLUI:
-		h.SetReg(in.Rd, uint64(in.Imm))
-	case isa.OpAUIPC:
-		h.SetReg(in.Rd, h.PC+uint64(in.Imm))
-	case isa.OpJAL:
-		h.SetReg(in.Rd, next)
-		next = h.PC + uint64(in.Imm)
-		h.Cycles += h.Cost.Branch
-	case isa.OpJALR:
-		t := (rs1 + uint64(in.Imm)) &^ 1
-		h.SetReg(in.Rd, next)
-		next = t
-		h.Cycles += h.Cost.Branch
-
-	case isa.OpBEQ, isa.OpBNE, isa.OpBLT, isa.OpBGE, isa.OpBLTU, isa.OpBGEU:
-		taken := false
-		switch in.Op {
-		case isa.OpBEQ:
-			taken = rs1 == rs2
-		case isa.OpBNE:
-			taken = rs1 != rs2
-		case isa.OpBLT:
-			taken = int64(rs1) < int64(rs2)
-		case isa.OpBGE:
-			taken = int64(rs1) >= int64(rs2)
-		case isa.OpBLTU:
-			taken = rs1 < rs2
-		case isa.OpBGEU:
-			taken = rs1 >= rs2
-		}
-		if taken {
-			next = h.PC + uint64(in.Imm)
-			h.Cycles += h.Cost.Branch
-		}
-
 	case isa.OpLB, isa.OpLH, isa.OpLW, isa.OpLD, isa.OpLBU, isa.OpLHU, isa.OpLWU:
 		va := rs1 + uint64(in.Imm)
 		v, aerr := h.MemAccess(va, in.MemBytes(), false, 0, raw)
@@ -142,105 +115,6 @@ func (h *Hart) execute(in isa.Inst) Event {
 		if _, aerr := h.MemAccess(va, in.MemBytes(), true, rs2, raw); aerr != nil {
 			return h.exception(*aerr)
 		}
-
-	case isa.OpADDI:
-		h.SetReg(in.Rd, rs1+uint64(in.Imm))
-	case isa.OpSLTI:
-		h.SetReg(in.Rd, b2u(int64(rs1) < in.Imm))
-	case isa.OpSLTIU:
-		h.SetReg(in.Rd, b2u(rs1 < uint64(in.Imm)))
-	case isa.OpXORI:
-		h.SetReg(in.Rd, rs1^uint64(in.Imm))
-	case isa.OpORI:
-		h.SetReg(in.Rd, rs1|uint64(in.Imm))
-	case isa.OpANDI:
-		h.SetReg(in.Rd, rs1&uint64(in.Imm))
-	case isa.OpSLLI:
-		h.SetReg(in.Rd, rs1<<uint(in.Imm))
-	case isa.OpSRLI:
-		h.SetReg(in.Rd, rs1>>uint(in.Imm))
-	case isa.OpSRAI:
-		h.SetReg(in.Rd, uint64(int64(rs1)>>uint(in.Imm)))
-
-	case isa.OpADD:
-		h.SetReg(in.Rd, rs1+rs2)
-	case isa.OpSUB:
-		h.SetReg(in.Rd, rs1-rs2)
-	case isa.OpSLL:
-		h.SetReg(in.Rd, rs1<<(rs2&63))
-	case isa.OpSLT:
-		h.SetReg(in.Rd, b2u(int64(rs1) < int64(rs2)))
-	case isa.OpSLTU:
-		h.SetReg(in.Rd, b2u(rs1 < rs2))
-	case isa.OpXOR:
-		h.SetReg(in.Rd, rs1^rs2)
-	case isa.OpSRL:
-		h.SetReg(in.Rd, rs1>>(rs2&63))
-	case isa.OpSRA:
-		h.SetReg(in.Rd, uint64(int64(rs1)>>(rs2&63)))
-	case isa.OpOR:
-		h.SetReg(in.Rd, rs1|rs2)
-	case isa.OpAND:
-		h.SetReg(in.Rd, rs1&rs2)
-
-	case isa.OpADDIW:
-		h.SetReg(in.Rd, sext32(uint32(rs1)+uint32(in.Imm)))
-	case isa.OpSLLIW:
-		h.SetReg(in.Rd, sext32(uint32(rs1)<<uint(in.Imm&31)))
-	case isa.OpSRLIW:
-		h.SetReg(in.Rd, sext32(uint32(rs1)>>uint(in.Imm&31)))
-	case isa.OpSRAIW:
-		h.SetReg(in.Rd, uint64(int64(int32(rs1)>>uint(in.Imm&31))))
-	case isa.OpADDW:
-		h.SetReg(in.Rd, sext32(uint32(rs1)+uint32(rs2)))
-	case isa.OpSUBW:
-		h.SetReg(in.Rd, sext32(uint32(rs1)-uint32(rs2)))
-	case isa.OpSLLW:
-		h.SetReg(in.Rd, sext32(uint32(rs1)<<(rs2&31)))
-	case isa.OpSRLW:
-		h.SetReg(in.Rd, sext32(uint32(rs1)>>(rs2&31)))
-	case isa.OpSRAW:
-		h.SetReg(in.Rd, uint64(int64(int32(rs1)>>(rs2&31))))
-
-	case isa.OpMUL:
-		h.Cycles += h.Cost.Mul
-		h.SetReg(in.Rd, rs1*rs2)
-	case isa.OpMULH:
-		h.Cycles += h.Cost.Mul
-		h.SetReg(in.Rd, mulh(int64(rs1), int64(rs2)))
-	case isa.OpMULHU:
-		h.Cycles += h.Cost.Mul
-		h.SetReg(in.Rd, mulhu(rs1, rs2))
-	case isa.OpMULHSU:
-		h.Cycles += h.Cost.Mul
-		h.SetReg(in.Rd, mulhsu(int64(rs1), rs2))
-	case isa.OpDIV:
-		h.Cycles += h.Cost.Div
-		h.SetReg(in.Rd, divS(int64(rs1), int64(rs2)))
-	case isa.OpDIVU:
-		h.Cycles += h.Cost.Div
-		h.SetReg(in.Rd, divU(rs1, rs2))
-	case isa.OpREM:
-		h.Cycles += h.Cost.Div
-		h.SetReg(in.Rd, remS(int64(rs1), int64(rs2)))
-	case isa.OpREMU:
-		h.Cycles += h.Cost.Div
-		h.SetReg(in.Rd, remU(rs1, rs2))
-	case isa.OpMULW:
-		h.Cycles += h.Cost.Mul
-		h.SetReg(in.Rd, sext32(uint32(rs1)*uint32(rs2)))
-	case isa.OpDIVW:
-		h.Cycles += h.Cost.Div
-		h.SetReg(in.Rd, sext32(uint32(divS(int64(int32(rs1)), int64(int32(rs2))))))
-	case isa.OpDIVUW:
-		h.Cycles += h.Cost.Div
-		h.SetReg(in.Rd, sext32(uint32(divU(uint64(uint32(rs1)), uint64(uint32(rs2))))))
-	case isa.OpREMW:
-		h.Cycles += h.Cost.Div
-		h.SetReg(in.Rd, sext32(uint32(remS(int64(int32(rs1)), int64(int32(rs2))))))
-	case isa.OpREMUW:
-		h.Cycles += h.Cost.Div
-		h.SetReg(in.Rd, sext32(uint32(remU(uint64(uint32(rs1)), uint64(uint32(rs2))))))
 
 	case isa.OpLRW, isa.OpLRD:
 		h.Cycles += h.Cost.Amo - h.Cost.Base
@@ -292,9 +166,6 @@ func (h *Hart) execute(in isa.Inst) Event {
 			old = sext32(uint32(old))
 		}
 		h.SetReg(in.Rd, old)
-
-	case isa.OpFENCE, isa.OpFENCEI:
-		h.Cycles += h.Cost.Fence
 
 	case isa.OpCSRRW, isa.OpCSRRS, isa.OpCSRRC, isa.OpCSRRWI, isa.OpCSRRSI, isa.OpCSRRCI:
 		h.Cycles += h.Cost.CSRAccess

@@ -12,22 +12,6 @@ import (
 	"zion/internal/telemetry"
 )
 
-// DefaultFastPath controls whether New wires a fast-path engine into each
-// hart. On by default; comparison tests and the host benchmark flip it to
-// measure the slow path. The engine is an accelerator, not a semantic
-// layer: every simulated cycle count, TLB/PMP/PTW statistic, and trap is
-// bit-identical with it on or off (docs/PERF.md explains why).
-var DefaultFastPath = true
-
-// DefaultSuperblocks controls whether the fast path additionally chains
-// decoded instructions into superblocks (superblock.go) and lets RunBatch
-// hoist the per-instruction timer/interrupt re-sampling out of straight-
-// line runs under an event-horizon proof. Off, RunBatch degrades to the
-// per-instruction fast path (PR 3 behaviour); the three engines —
-// slow, per-instruction fast, superblock — are asserted bit-identical on
-// every paper table.
-var DefaultSuperblocks = true
-
 const (
 	mtlbSize = 64 // direct-mapped entries per access type
 	mtlbMask = mtlbSize - 1
@@ -62,7 +46,7 @@ type mtlbEntry struct {
 // self-modifying code observes its own stores exactly like the slow path
 // (which re-fetches every instruction). live is atomic because under the
 // parallel engine the invalidating store may come from a peer hart's
-// goroutine (mem watcher dispatch); the fast path is semantically
+// goroutine (mem watcher dispatch); the decode cache is semantically
 // transparent, so a cross-hart invalidation landing mid-quantum changes
 // only host-side cache effectiveness, never simulated results.
 type decodedPage struct {
@@ -93,7 +77,7 @@ type decodedPage struct {
 
 	// Trace-compilation metadata (trace.go), built lazily by compileTraces
 	// on the owning hart's goroutine the first time the superblock loop
-	// enters the page with the trace tier on. tcOps is published before
+	// enters the page on the trace engine. tcOps is published before
 	// tcReady flips (atomic release/acquire), so a peer goroutine reading
 	// it for the invalidation counters always sees a complete table. A
 	// demoted page (invalidation history says compiling would thrash) is
@@ -133,12 +117,12 @@ type FastPathStats struct {
 	TCInvals     uint64 // compiled trace tables dropped by store invalidation
 }
 
-// fastPath is one hart's execution accelerator: three direct-mapped
-// micro-TLBs (fetch/read/write) plus a decoded-instruction cache keyed by
-// physical page. It never produces a result the slow path wouldn't: every
-// cacheable case replays the exact counter mutations (TLB tick/LRU/hits,
-// PMP checks, TLBHit/Mem cycles) the slow path performs, and everything
-// else falls back.
+// fastPath is the state the block and trace engines run on: three
+// direct-mapped micro-TLBs (fetch/read/write) plus a decoded-instruction
+// cache keyed by physical page. It never produces a result the slow path
+// wouldn't: every cacheable case replays the exact counter mutations (TLB
+// tick/LRU/hits, PMP checks, TLBHit/Mem cycles) the slow path performs,
+// and everything else falls back.
 type fastPath struct {
 	mem   *mem.PhysMemory
 	fetch [mtlbSize]mtlbEntry
@@ -157,13 +141,6 @@ type fastPath struct {
 	invCount  map[uint64]uint32
 	blacklist map[uint64]bool
 	stats     FastPathStats
-
-	// sb enables the superblock dispatch loop (DefaultSuperblocks at
-	// construction; flipped by SetSuperblocks for engine comparisons); tc
-	// additionally enables the compiled-trace tier on top of it
-	// (DefaultTraces at construction; flipped by SetTraces).
-	sb bool
-	tc bool
 
 	// Trace-dispatch scratch: the generation snapshot taken once per trace
 	// entry (see trace.go for the soundness argument) plus the PC of the
@@ -197,23 +174,57 @@ func newFastPath(h *Hart) *fastPath {
 		pages:     make(map[uint64]*decodedPage),
 		invCount:  make(map[uint64]uint32),
 		blacklist: make(map[uint64]bool),
-		sb:        DefaultSuperblocks,
-		tc:        DefaultTraces,
 	}
 	h.Mem.AddCodeWatcher(e)
 	return e
 }
 
-// EnableFastPath attaches a fast-path engine to the hart (idempotent).
-func (h *Hart) EnableFastPath() {
-	if h.fp == nil {
-		h.fp = newFastPath(h)
+// Engine selects a hart's execution tier. Every tier retires through the
+// same execute() and opcode table, and every simulated cycle count,
+// TLB/PMP/PTW statistic and trap is bit-identical across them
+// (docs/PERF.md explains why); they differ only in host speed.
+type Engine uint8
+
+const (
+	// EngineTrace dispatches superblocks through compiled trace tables
+	// (trace.go). The zero value and the default.
+	EngineTrace Engine = iota
+	// EngineBlock dispatches superblocks through the generic execute()
+	// loop (superblock.go).
+	EngineBlock
+	// EngineSlow is the reference interpreter alone: RunBatch declines
+	// and callers fall back to Step.
+	EngineSlow
+)
+
+// Engines lists every tier, fastest first — the lockstep test matrix.
+func Engines() []Engine { return []Engine{EngineTrace, EngineBlock, EngineSlow} }
+
+// String names the engine the way the bench JSON records it.
+func (e Engine) String() string {
+	switch e {
+	case EngineTrace:
+		return "trace"
+	case EngineBlock:
+		return "block"
+	case EngineSlow:
+		return "slow"
 	}
+	return "?"
 }
 
-// DisableFastPath detaches the engine, dropping its caches and code-page
-// registrations.
-func (h *Hart) DisableFastPath() {
+// SetEngine selects the hart's execution tier. Leaving the block and
+// trace tiers drops their caches and code-page registrations, so the
+// memory no longer pays write-notification costs; entering them attaches
+// fresh ones.
+func (h *Hart) SetEngine(e Engine) {
+	h.engine = e
+	if e != EngineSlow {
+		if h.fp == nil {
+			h.fp = newFastPath(h)
+		}
+		return
+	}
 	if h.fp == nil {
 		return
 	}
@@ -227,21 +238,8 @@ func (h *Hart) DisableFastPath() {
 	h.fp = nil
 }
 
-// FastPathEnabled reports whether the engine is attached.
-func (h *Hart) FastPathEnabled() bool { return h.fp != nil }
-
-// SetSuperblocks toggles the superblock dispatch loop on an attached
-// engine (no-op when the fast path is disabled). Turning it off degrades
-// RunBatch to the per-instruction fast path; cached metadata stays valid
-// and is simply ignored.
-func (h *Hart) SetSuperblocks(on bool) {
-	if h.fp != nil {
-		h.fp.sb = on
-	}
-}
-
-// SuperblocksEnabled reports whether the superblock loop is active.
-func (h *Hart) SuperblocksEnabled() bool { return h.fp != nil && h.fp.sb }
+// Engine reports the hart's execution tier.
+func (h *Hart) Engine() Engine { return h.engine }
 
 // FastPathStats returns the engine counters (zero value when disabled).
 func (h *Hart) FastPathStats() FastPathStats {
@@ -391,40 +389,6 @@ func (e *fastPath) hitAccounting(h *Hart, ent *mtlbEntry) {
 		h.Cycles += h.Cost.TLBHit
 	}
 	h.PMP.NoteCheck()
-}
-
-// step executes one instruction through the fast path, or reports ok=false
-// to let Step's slow path run. Called after the interrupt sample.
-func (e *fastPath) step(h *Hart) (Event, bool) {
-	pc := h.PC
-	if pc&3 != 0 {
-		return Event{}, false // misaligned PC: slow path owns the fault
-	}
-	vaPage := pc >> isa.PageShift
-	ent := &e.fetch[vaPage&mtlbMask]
-	if !e.valid(h, ent, vaPage) {
-		e.stats.FetchMisses++
-		if !e.fill(h, ent, pc&^uint64(isa.PageSize-1), ptw.AccessFetch) {
-			return Event{}, false
-		}
-	}
-	dp := ent.dp
-	if dp == nil || !dp.live.Load() {
-		e.mu.Lock()
-		if e.blacklist[ent.paPage] {
-			e.mu.Unlock()
-			return Event{}, false // write-hot page: decode per fetch instead
-		}
-		dp = e.decodePageLocked(ent.paPage, ent.page)
-		e.mu.Unlock()
-		ent.dp = dp
-	}
-	e.stats.FetchHits++
-	e.hitAccounting(h, ent)
-	if h.Prof != nil && h.Cycles >= h.Prof.Next {
-		h.Prof.Sample(pc, h.Mode.String(), telemetry.ProfTierFast, h.Cycles)
-	}
-	return h.execute(dp.insts[(pc&(isa.PageSize-1))>>2]), true
 }
 
 // decodePageLocked builds (or returns) the decoded block for a physical

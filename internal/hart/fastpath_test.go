@@ -7,13 +7,19 @@ import (
 	"zion/internal/isa"
 )
 
-// stepN retires n EvNone steps, failing on any event.
-func stepN(t *testing.T, h *Hart, n int) {
+// batchN retires n EvNone instructions through RunBatch, failing on any
+// event or on a batch that declines.
+func batchN(t *testing.T, h *Hart, n uint64) {
 	t.Helper()
-	for i := 0; i < n; i++ {
-		if ev := h.Step(); ev.Kind != EvNone {
-			t.Fatalf("step %d: unexpected event %v at pc=%#x", i, ev.Kind, h.PC)
+	for done := uint64(0); done < n; {
+		k, ev, ok := h.RunBatch(0, false, n-done)
+		if ok {
+			t.Fatalf("unexpected event %v at pc=%#x", ev.Kind, h.PC)
 		}
+		if k == 0 {
+			t.Fatalf("batch declined at pc=%#x", h.PC)
+		}
+		done += k
 	}
 }
 
@@ -32,38 +38,40 @@ func TestFastPathSMCInvalidation(t *testing.T) {
 	p.ADDI(6, 0, 1)
 	p.ECALL()
 
-	h := newHart(t)
-	h.EnableFastPath()
-	load(t, h, ramBase, p)
-	ev := run(t, h, 100)
-	if ev.Kind != EvTrap || ev.Trap.Cause != isa.ExcEcallM {
-		t.Fatalf("unexpected end event: %+v", ev)
-	}
-	if got := h.Reg(6); got != 2 {
-		t.Fatalf("x6 = %d, want 2 (patched instruction must execute)", got)
-	}
-	st := h.FastPathStats()
-	if st.BlockInvals == 0 {
-		t.Fatalf("no decoded-block invalidation recorded: %+v", st)
-	}
-	if st.BlockBuilds < 2 {
-		t.Fatalf("page was not re-decoded after the store: %+v", st)
+	for _, eng := range batchEngines {
+		h := newHart(t)
+		h.SetEngine(eng)
+		load(t, h, ramBase, p)
+		ev := runBatched(t, h, 100)
+		if ev.Kind != EvTrap || ev.Trap.Cause != isa.ExcEcallM {
+			t.Fatalf("%v: unexpected end event: %+v", eng, ev)
+		}
+		if got := h.Reg(6); got != 2 {
+			t.Fatalf("%v: x6 = %d, want 2 (patched instruction must execute)", eng, got)
+		}
+		st := h.FastPathStats()
+		if st.BlockInvals == 0 {
+			t.Fatalf("%v: no decoded-block invalidation recorded: %+v", eng, st)
+		}
+		if st.BlockBuilds < 2 {
+			t.Fatalf("%v: page was not re-decoded after the store: %+v", eng, st)
+		}
 	}
 }
 
 // Each epoch source must force a refill on the next access: micro-TLB
 // entries survive only while every generation they captured is current.
 func TestFastPathEpochInvalidation(t *testing.T) {
-	newRunning := func(t *testing.T) *Hart {
+	newRunning := func(t *testing.T, eng Engine) *Hart {
 		p := asm.New(ramBase)
 		for i := 0; i < 64; i++ {
 			p.ADDI(5, 5, 1)
 		}
 		p.ECALL()
 		h := newHart(t)
-		h.EnableFastPath()
+		h.SetEngine(eng)
 		load(t, h, ramBase, p)
-		stepN(t, h, 4) // warm: entry filled, hits flowing
+		batchN(t, h, 4) // warm: entry filled, hits flowing
 		return h
 	}
 
@@ -86,16 +94,18 @@ func TestFastPathEpochInvalidation(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			h := newRunning(t)
-			before := h.FastPathStats().Fills
-			stepN(t, h, 2)
-			if f := h.FastPathStats().Fills; f != before {
-				t.Fatalf("steady state refilled without cause: %d -> %d", before, f)
-			}
-			c.bump(h)
-			stepN(t, h, 2)
-			if f := h.FastPathStats().Fills; f == before {
-				t.Fatalf("%s did not invalidate the fetch entry", c.name)
+			for _, eng := range batchEngines {
+				h := newRunning(t, eng)
+				before := h.FastPathStats().Fills
+				batchN(t, h, 2)
+				if f := h.FastPathStats().Fills; f != before {
+					t.Fatalf("%v: steady state refilled without cause: %d -> %d", eng, before, f)
+				}
+				c.bump(h)
+				batchN(t, h, 2)
+				if f := h.FastPathStats().Fills; f == before {
+					t.Fatalf("%v: %s did not invalidate the fetch entry", eng, c.name)
+				}
 			}
 		})
 	}
@@ -117,24 +127,26 @@ func TestFastPathBlacklist(t *testing.T) {
 	p.BNE(5, 0, "loop")
 	p.ECALL()
 
-	h := newHart(t)
-	h.EnableFastPath()
-	load(t, h, ramBase, p)
-	ev := run(t, h, 10000)
-	if ev.Kind != EvTrap || ev.Trap.Cause != isa.ExcEcallM {
-		t.Fatalf("unexpected end event: %+v", ev)
-	}
-	if !h.fp.blacklist[ramBase] {
-		t.Fatalf("page %#x not blacklisted after %d invalidations (stats %+v)",
-			uint64(ramBase), blacklistThreshold+4, h.FastPathStats())
-	}
-	if h.fp.stats.BlockInvals < blacklistThreshold {
-		t.Fatalf("expected >=%d invalidations, got %+v", blacklistThreshold, h.fp.stats)
+	for _, eng := range batchEngines {
+		h := newHart(t)
+		h.SetEngine(eng)
+		load(t, h, ramBase, p)
+		ev := runBatched(t, h, 10000)
+		if ev.Kind != EvTrap || ev.Trap.Cause != isa.ExcEcallM {
+			t.Fatalf("%v: unexpected end event: %+v", eng, ev)
+		}
+		if !h.fp.blacklist[ramBase] {
+			t.Fatalf("%v: page %#x not blacklisted after %d invalidations (stats %+v)",
+				eng, uint64(ramBase), blacklistThreshold+4, h.FastPathStats())
+		}
+		if h.fp.stats.BlockInvals < blacklistThreshold {
+			t.Fatalf("%v: expected >=%d invalidations, got %+v", eng, blacklistThreshold, h.fp.stats)
+		}
 	}
 }
 
-// Disabling the engine must unregister every code page and detach the
-// watcher so the memory no longer pays notification costs.
+// Switching to the slow engine must unregister every code page and detach
+// the watcher so the memory no longer pays notification costs.
 func TestFastPathDisableCleansUp(t *testing.T) {
 	p := asm.New(ramBase)
 	for i := 0; i < 8; i++ {
@@ -142,20 +154,19 @@ func TestFastPathDisableCleansUp(t *testing.T) {
 	}
 	p.ECALL()
 	h := newHart(t)
-	h.EnableFastPath()
 	load(t, h, ramBase, p)
-	stepN(t, h, 4)
+	batchN(t, h, 4)
 	if !h.Mem.IsCodePage(ramBase) {
-		t.Fatal("executed page not registered while enabled")
+		t.Fatal("executed page not registered on the trace engine")
 	}
-	h.DisableFastPath()
-	if h.FastPathEnabled() {
-		t.Fatal("engine still attached")
+	h.SetEngine(EngineSlow)
+	if h.Engine() != EngineSlow || h.fp != nil {
+		t.Fatal("engine caches still attached")
 	}
 	if h.Mem.IsCodePage(ramBase) {
-		t.Fatal("code page still registered after disable")
+		t.Fatal("code page still registered on the slow engine")
 	}
-	// The hart keeps running on the slow path.
+	// The hart keeps running on the reference interpreter.
 	ev := run(t, h, 100)
 	if ev.Kind != EvTrap || ev.Trap.Cause != isa.ExcEcallM {
 		t.Fatalf("slow path did not complete: %+v", ev)
@@ -166,22 +177,21 @@ func TestFastPathDisableCleansUp(t *testing.T) {
 // exactly like the slow path (the lockstep fuzzer covers this broadly; this
 // is the minimal deterministic version for quick failure localisation).
 func TestFastPathAccessAccounting(t *testing.T) {
-	prog := func() *asm.Program {
-		p := asm.New(ramBase)
-		p.LIU(5, ramBase+0x2000)
-		for i := 0; i < 16; i++ {
-			p.SD(6, 5, int64(i*8))
-			p.LD(7, 5, int64(i*8))
-		}
-		p.ECALL()
-		return p
+	p := asm.New(ramBase)
+	p.LIU(5, ramBase+0x2000)
+	for i := 0; i < 16; i++ {
+		p.SD(6, 5, int64(i*8))
+		p.LD(7, 5, int64(i*8))
 	}
-	fast, slow := newLockstepPair(t)
-	load(t, fast, ramBase, prog())
-	load(t, slow, ramBase, prog())
-	lockstep(t, "accounting", 0, fast, slow, isa.ExcEcallM)
-	st := fast.FastPathStats()
-	if st.ReadHits == 0 || st.WriteHits == 0 {
-		t.Fatalf("data micro-TLB never hit: %+v", st)
+	p.ECALL()
+	for _, eng := range batchEngines {
+		fast, slow, fc, sc := newBatchPair(t, eng)
+		load(t, fast, ramBase, p)
+		load(t, slow, ramBase, p)
+		batchLockstep(t, "accounting/"+eng.String(), 0, fast, slow, fc, sc, isa.ExcEcallM, 0)
+		st := fast.FastPathStats()
+		if st.ReadHits == 0 || st.WriteHits == 0 {
+			t.Fatalf("%v: data micro-TLB never hit: %+v", eng, st)
+		}
 	}
 }

@@ -135,13 +135,15 @@ func TestDifferentialALUFuzz(t *testing.T) {
 // --- Lockstep differential fuzzer ----------------------------------------
 //
 // Two harts execute the same randomly generated program from identical
-// initial state: one with the fast-path engine, one on the pure slow path.
-// After every single step the full architectural state — registers, PC,
-// mode, Cycles, Instret, and the event kind/cause — must match, and at the
-// end the TLB/PMP/walker statistics and trap counts must match too. The
-// programs deliberately interleave the events that invalidate fast-path
-// caches: PMP reprogramming, satp Bare<->Sv39 toggles, sfence.vma
-// variants, and stores into the instruction stream.
+// initial state: one on the block or trace engine driven through RunBatch
+// (batchLockstep below), one on the slow reference interpreter. At every
+// batch boundary the full architectural state — registers, PC, mode,
+// Cycles, Instret, and the event kind/cause — must match, and at the end
+// the TLB/PMP/walker statistics and trap counts must match too. The
+// programs deliberately interleave the events that invalidate the
+// engines' micro-TLBs and decoded pages: PMP reprogramming, satp
+// Bare<->Sv39 toggles, sfence.vma variants, and stores into the
+// instruction stream.
 
 // instrWord assembles a single instruction and returns its encoding.
 func instrWord(t *testing.T, build func(p *asm.Program)) uint32 {
@@ -151,69 +153,12 @@ func instrWord(t *testing.T, build func(p *asm.Program)) uint32 {
 	return binary.LittleEndian.Uint32(p.MustAssemble())
 }
 
-// lockstep drives both harts one instruction at a time until the program's
-// terminating ecall, failing on the first divergence.
-func lockstep(t *testing.T, tag string, pi int, fast, slow *Hart, wantCause uint64) {
-	t.Helper()
-	const maxSteps = 50000
-	for s := 0; s < maxSteps; s++ {
-		ef := fast.Step()
-		es := slow.Step()
-		if ef.Kind != es.Kind {
-			t.Fatalf("%s program %d step %d: event kind fast=%v slow=%v", tag, pi, s, ef.Kind, es.Kind)
-		}
-		if ef.Kind == EvTrap && ef.Trap.Cause != es.Trap.Cause {
-			t.Fatalf("%s program %d step %d: trap cause fast=%s slow=%s",
-				tag, pi, s, isa.CauseName(ef.Trap.Cause), isa.CauseName(es.Trap.Cause))
-		}
-		if fast.PC != slow.PC || fast.Mode != slow.Mode ||
-			fast.Cycles != slow.Cycles || fast.Instret != slow.Instret {
-			t.Fatalf("%s program %d step %d: pc %#x/%#x mode %v/%v cycles %d/%d instret %d/%d",
-				tag, pi, s, fast.PC, slow.PC, fast.Mode, slow.Mode,
-				fast.Cycles, slow.Cycles, fast.Instret, slow.Instret)
-		}
-		if fast.X != slow.X {
-			t.Fatalf("%s program %d step %d: register files diverge", tag, pi, s)
-		}
-		if ef.Kind == EvTrap {
-			if ef.Trap.Cause != wantCause {
-				t.Fatalf("%s program %d: unexpected trap %s at pc=%#x",
-					tag, pi, isa.CauseName(ef.Trap.Cause), ef.Trap.PC)
-			}
-			// Terminal: compare the accounting the paper tables are built from.
-			if fast.TLB.Stats() != slow.TLB.Stats() {
-				t.Fatalf("%s program %d: TLB stats fast=%+v slow=%+v", tag, pi, fast.TLB.Stats(), slow.TLB.Stats())
-			}
-			if fast.PMP.Stats() != slow.PMP.Stats() {
-				t.Fatalf("%s program %d: PMP stats fast=%+v slow=%+v", tag, pi, fast.PMP.Stats(), slow.PMP.Stats())
-			}
-			if fast.WalkStats != slow.WalkStats {
-				t.Fatalf("%s program %d: walk stats fast=%+v slow=%+v", tag, pi, fast.WalkStats, slow.WalkStats)
-			}
-			if !reflect.DeepEqual(fast.TrapCount, slow.TrapCount) {
-				t.Fatalf("%s program %d: trap counts fast=%v slow=%v", tag, pi, fast.TrapCount, slow.TrapCount)
-			}
-			// And the data region itself.
-			fb, err1 := fast.Mem.Read(ramBase+dataOff, 2*isa.PageSize)
-			sb, err2 := slow.Mem.Read(ramBase+dataOff, 2*isa.PageSize)
-			if err1 != nil || err2 != nil {
-				t.Fatalf("%s program %d: data readback: %v / %v", tag, pi, err1, err2)
-			}
-			if !reflect.DeepEqual(fb, sb) {
-				t.Fatalf("%s program %d: data memory diverges", tag, pi)
-			}
-			return
-		}
-	}
-	t.Fatalf("%s program %d: no terminating event after %d steps (pc=%#x)", tag, pi, maxSteps, fast.PC)
-}
-
 const dataOff = 1 << 20 // data region offset within RAM used by fuzz programs
 
 // emitSMCStore writes a pre-encoded instruction into the given slot label —
 // a store into the instruction stream the fast path must notice.
 func emitSMCStore(p *asm.Program, word uint32, slot string) {
-	p.LA(28, slot)      // t3
+	p.LA(28, slot)        // t3
 	p.LI(29, int64(word)) // t4
 	p.SW(29, 28, 0)
 }
@@ -264,17 +209,6 @@ func genLockstepBody(t *testing.T, rng *rand.Rand, p *asm.Program, ops int, spec
 			}
 		}
 	}
-}
-
-// newLockstepPair returns (fast, slow) harts over independent but identical
-// memories.
-func newLockstepPair(t *testing.T) (*Hart, *Hart) {
-	t.Helper()
-	fast := newHart(t)
-	slow := newHart(t)
-	fast.EnableFastPath()
-	slow.DisableFastPath()
-	return fast, slow
 }
 
 // TestLockstepFuzzMachineMode interleaves ALU/memory traffic with PMP
@@ -334,10 +268,12 @@ func TestLockstepFuzzMachineMode(t *testing.T) {
 		}
 		p.ECALL()
 
-		fast, slow := newLockstepPair(t)
-		load(t, fast, ramBase, p)
-		load(t, slow, ramBase, p)
-		lockstep(t, "M", pi, fast, slow, isa.ExcEcallM)
+		for _, eng := range batchEngines {
+			fast, slow, fc, sc := newBatchPair(t, eng)
+			load(t, fast, ramBase, p)
+			load(t, slow, ramBase, p)
+			batchLockstep(t, "M/"+eng.String(), pi, fast, slow, fc, sc, isa.ExcEcallM, 0)
+		}
 	}
 }
 
@@ -392,49 +328,57 @@ func TestLockstepFuzzSupervisorSv39(t *testing.T) {
 		})
 		p.ECALL()
 
-		fast, slow := newLockstepPair(t)
-		for _, h := range []*Hart{fast, slow} {
-			load(t, h, ramBase, p)
-			openPMP(t, h)
-			root := buildRoot(h)
-			sv39 := uint64(isa.SatpModeSv39)<<isa.SatpModeShift | root>>isa.PageShift
-			h.SetCSR(isa.CSRSatp, sv39)
-			h.SetReg(21, 0)
-			h.SetReg(22, 0) // Bare
-			h.SetReg(23, sv39)
-			// Drop to S-mode at the program start.
-			h.SetCSR(isa.CSRMstatus,
-				h.CSR(isa.CSRMstatus)&^isa.MstatusMPP|uint64(1)<<isa.MstatusMPPShift)
-			h.SetCSR(isa.CSRMepc, ramBase)
-			h.MRet()
+		for _, eng := range batchEngines {
+			fast, slow, fc, sc := newBatchPair(t, eng)
+			for _, h := range []*Hart{fast, slow} {
+				load(t, h, ramBase, p)
+				openPMP(t, h)
+				root := buildRoot(h)
+				sv39 := uint64(isa.SatpModeSv39)<<isa.SatpModeShift | root>>isa.PageShift
+				h.SetCSR(isa.CSRSatp, sv39)
+				h.SetReg(21, 0)
+				h.SetReg(22, 0) // Bare
+				h.SetReg(23, sv39)
+				// Drop to S-mode at the program start.
+				h.SetCSR(isa.CSRMstatus,
+					h.CSR(isa.CSRMstatus)&^isa.MstatusMPP|uint64(1)<<isa.MstatusMPPShift)
+				h.SetCSR(isa.CSRMepc, ramBase)
+				h.MRet()
+			}
+			batchLockstep(t, "S/"+eng.String(), pi, fast, slow, fc, sc, isa.ExcEcallS, 0)
 		}
-		lockstep(t, "S", pi, fast, slow, isa.ExcEcallS)
 	}
 }
 
 // TestLockstepFastPathNotVacuous makes sure the fuzz configurations above
-// actually exercise the engine: a representative M-mode program must
-// produce fast-path fetch hits.
+// actually exercise the engines: a representative M-mode program must
+// produce decoded-page fetch hits on both, and trace-retired ops on the
+// trace engine.
 func TestLockstepFastPathNotVacuous(t *testing.T) {
 	p := asm.New(ramBase)
 	for i := 0; i < 100; i++ {
 		p.ADDI(5, 5, 1)
 	}
 	p.ECALL()
-	fast, slow := newLockstepPair(t)
-	load(t, fast, ramBase, p)
-	load(t, slow, ramBase, p)
-	lockstep(t, "sanity", 0, fast, slow, isa.ExcEcallM)
-	if st := fast.FastPathStats(); st.FetchHits == 0 {
-		t.Fatalf("fast path never hit: %+v", st)
+	for _, eng := range batchEngines {
+		fast, slow, fc, sc := newBatchPair(t, eng)
+		load(t, fast, ramBase, p)
+		load(t, slow, ramBase, p)
+		batchLockstep(t, "sanity/"+eng.String(), 0, fast, slow, fc, sc, isa.ExcEcallM, 0)
+		st := fast.FastPathStats()
+		if st.FetchHits == 0 {
+			t.Fatalf("%v engine never hit a decoded page: %+v", eng, st)
+		}
+		if eng == EngineTrace && st.TCOps == 0 {
+			t.Fatalf("trace engine retired no trace ops: %+v", st)
+		}
 	}
 }
 
 // --- Batch lockstep: superblocks vs per-step under async events ----------
 //
-// The fuzzers above compare Step against Step. The superblock engine makes
-// a stronger claim: RunBatch may hoist the timer and interrupt checks over
-// a whole straight-line run, and the trace must still be bit-identical to
+// RunBatch may hoist the timer and interrupt checks over a whole
+// straight-line run, and the result must still be bit-identical to
 // per-step execution — including WHEN an interrupt is delivered. These
 // drivers run the fast hart through RunBatch exactly as the platform loop
 // does (deadline sample, batch, tick+Step fallback) while the slow hart is
@@ -591,7 +535,8 @@ func batchLockstep(t *testing.T, tag string, pi int, fast, slow *Hart, fc, sc *f
 				tag, pi, steps, isa.CauseName(ev.Trap.Cause), isa.CauseName(es.Trap.Cause))
 		}
 		if ev.Trap.Cause == wantCause {
-			// Terminal: accounting and data-region identity, as lockstep().
+			// Terminal: the accounting the paper tables are built from, and
+			// the data region itself.
 			if fast.TLB.Stats() != slow.TLB.Stats() {
 				t.Fatalf("%s program %d: TLB stats fast=%+v slow=%+v", tag, pi, fast.TLB.Stats(), slow.TLB.Stats())
 			}
@@ -622,10 +567,13 @@ func batchLockstep(t *testing.T, tag string, pi int, fast, slow *Hart, fc, sc *f
 	t.Fatalf("%s program %d: no terminating ecall after %d steps (pc=%#x)", tag, pi, maxSteps, fast.PC)
 }
 
-// newBatchPair returns fast/slow harts wired to independent fakeCLINTs.
-func newBatchPair(t *testing.T) (*Hart, *Hart, *fakeCLINT, *fakeCLINT) {
+// newBatchPair returns a hart on engine eng and a slow reference hart over
+// independent but identical memories, wired to independent fakeCLINTs.
+func newBatchPair(t *testing.T, eng Engine) (*Hart, *Hart, *fakeCLINT, *fakeCLINT) {
 	t.Helper()
-	fast, slow := newLockstepPair(t)
+	fast, slow := newHart(t), newHart(t)
+	fast.SetEngine(eng)
+	slow.SetEngine(EngineSlow)
 	fc, sc := &fakeCLINT{h: fast}, &fakeCLINT{h: slow}
 	fast.Bus, slow.Bus = fc, sc
 	return fast, slow, fc, sc
@@ -679,10 +627,9 @@ func TestLockstepFuzzBatchAsync(t *testing.T) {
 	var irqs, cutoffs, hits, tcops, tcbail uint64
 	for pi := 0; pi < 25; pi++ {
 		p := genBatchProgram(t, rng)
-		fast, slow, fc, sc := newBatchPair(t)
-		// Alternate the compiled-trace tier per program so the same fuzz
-		// corpus pins both the trace dispatch and the plain generic loop.
-		fast.SetTraces(pi%2 == 0)
+		// Alternate the engine per program so the same fuzz corpus pins
+		// both the trace dispatch and the plain generic loop.
+		fast, slow, fc, sc := newBatchPair(t, batchEngines[pi%2])
 		load(t, fast, ramBase, p)
 		load(t, slow, ramBase, p)
 		batchLockstep(t, "batch", pi, fast, slow, fc, sc, isa.ExcEcallM, 0)
@@ -718,11 +665,10 @@ func TestLockstepFuzzBatchPerInstruction(t *testing.T) {
 	rng := rand.New(rand.NewSource(0x0E4A_11CE))
 	for pi := 0; pi < 10; pi++ {
 		p := genBatchProgram(t, rng)
-		fast, slow, fc, sc := newBatchPair(t)
 		// A one-instruction budget clamps every block below the trace tier's
-		// blen>1 entry condition; alternating the switch anyway pins the
-		// disabled path through this dispatch route as well.
-		fast.SetTraces(pi%2 == 0)
+		// blen>1 entry condition; alternating the engine anyway pins the
+		// block engine through this dispatch route as well.
+		fast, slow, fc, sc := newBatchPair(t, batchEngines[pi%2])
 		load(t, fast, ramBase, p)
 		load(t, slow, ramBase, p)
 		batchLockstep(t, "perinst", pi, fast, slow, fc, sc, isa.ExcEcallM, 1)
@@ -743,7 +689,7 @@ func TestBatchTimerAtHorizonEdge(t *testing.T) {
 			p.ADDI(5, 5, 1)
 		}
 		p.ECALL()
-		fast, slow, fc, sc := newBatchPair(t)
+		fast, slow, fc, sc := newBatchPair(t, EngineTrace)
 		load(t, fast, ramBase, p)
 		load(t, slow, ramBase, p)
 		fc.mtimecmp, fc.armed = dl, true
@@ -776,7 +722,7 @@ func TestBatchSMCInsideExecutingSuperblock(t *testing.T) {
 	p.ADDI(5, 5, 1) // overwritten before it is reached
 	p.ECALL()
 
-	fast, slow, fc, sc := newBatchPair(t)
+	fast, slow, fc, sc := newBatchPair(t, EngineTrace)
 	load(t, fast, ramBase, p)
 	load(t, slow, ramBase, p)
 	batchLockstep(t, "smc", 0, fast, slow, fc, sc, isa.ExcEcallM, 0)

@@ -1,8 +1,9 @@
-// Package hart implements the simulated RISC-V hart: an RV64IMA
-// interpreter with the four privilege modes ZION uses (M, HS, VS, VU),
-// full trap-entry/return semantics, two-level trap delegation
-// (medeleg/hedeleg, mideleg/hideleg), PMP-checked physical access, a
-// TLB-fronted two-stage MMU, and a calibrated cycle model.
+// Package hart implements the simulated RISC-V hart: an RV64IMA execution
+// core (reference interpreter plus superblock and compiled-trace tiers,
+// one opcode table for all three) with the four privilege modes ZION uses
+// (M, HS, VS, VU), full trap-entry/return semantics, two-level trap
+// delegation (medeleg/hedeleg, mideleg/hideleg), PMP-checked physical
+// access, a TLB-fronted two-stage MMU, and a calibrated cycle model.
 //
 // The interpreter executes guest code (VS/VU). M-mode and HS-mode
 // software — ZION's Secure Monitor and the KVM-like hypervisor — are Go
@@ -79,12 +80,17 @@ type Hart struct {
 	csr    *csrFile
 	walker ptw.Walker
 
-	// fp is the optional fast-path engine (fastpath.go); nil = pure slow
-	// path. mmuGen is the translation-context epoch it validates against:
-	// bumped on every write that could change how virtual addresses
-	// resolve (satp/vsatp/hgatp/mstatus, including the sstatus view).
+	// engine is the hart's execution tier (SetEngine). fp holds the
+	// micro-TLBs and decoded-page caches the block and trace tiers run on
+	// (fastpath.go); nil on the slow engine. mmuGen is the
+	// translation-context epoch fp validates against: bumped on every
+	// write that could change how virtual addresses resolve
+	// (satp/vsatp/hgatp/mstatus, including the sstatus view).
+	engine Engine
 	fp     *fastPath
 	mmuGen uint64
+	// op is execute()'s operand scratch for opcode-table dispatch.
+	op traceOp
 	// asyncGen is the device-event epoch: bumped whenever an instruction
 	// reaches the bus (CLINT, UART, virtio windows). A bus access is the
 	// only way interpreted code can change asynchronous-event state from
@@ -152,9 +158,7 @@ func New(id int, ram *mem.PhysMemory, bus Bus) *Hart {
 		TrapCount: make(map[uint64]uint64),
 	}
 	h.walker = ptw.Walker{Mem: ram, Stats: &h.WalkStats}
-	if DefaultFastPath {
-		h.EnableFastPath()
-	}
+	h.SetEngine(EngineTrace)
 	return h
 }
 

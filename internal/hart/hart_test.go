@@ -59,6 +59,29 @@ func run(t *testing.T, h *Hart, maxSteps int) Event {
 	return Event{}
 }
 
+// runBatched is run() through RunBatch pacing, the way the platform loop
+// drives a block or trace hart: batches until one ends in an event, with a
+// Step whenever a batch declines.
+func runBatched(t *testing.T, h *Hart, maxSteps uint64) Event {
+	t.Helper()
+	for steps := uint64(0); steps < maxSteps; {
+		n, ev, ok := h.RunBatch(0, false, maxSteps-steps)
+		if !ok && n == 0 {
+			ev, ok, n = h.Step(), true, 1
+		}
+		steps += n
+		if ok && ev.Kind != EvNone {
+			return ev
+		}
+	}
+	t.Fatalf("no event after %d steps at pc=%#x", maxSteps, h.PC)
+	return Event{}
+}
+
+// batchEngines are the tiers RunBatch accelerates; each is checked
+// against the slow reference interpreter.
+var batchEngines = []Engine{EngineTrace, EngineBlock}
+
 func TestMModeALUProgram(t *testing.T) {
 	h := newHart(t)
 	p := asm.New(ramBase)

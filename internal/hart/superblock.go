@@ -37,10 +37,9 @@ import (
 //     next boundary. When the bound crosses the deadline the entry is
 //     degraded to single-step pacing (HorizonCutoffs) instead.
 //
-// Bit-identity with the per-instruction engines is preserved the same way
-// the PR 3 fast path preserves it: the shared execute() does all
-// architectural work, and the dispatch loop replays the exact per-fetch
-// accounting (TLB Touch/tick/hit, TLBHit cycles, PMP check count) the
+// Bit-identity with the reference interpreter is preserved by
+// construction: the shared execute() does all architectural work, and the
+// dispatch loop replays the exact per-fetch accounting (TLB Touch/tick/hit, TLBHit cycles, PMP check count) the
 // slow path would have produced. Blocks never span a page, so the fetch
 // micro-TLB entry that admitted the block — whole-page exec permission,
 // whole-page PMP verdict, stable translation epochs — is the page-span/
@@ -73,29 +72,24 @@ func sbBoundary(op isa.Op) bool {
 // sbWorstCycles returns the worst-case simulated cycles one retired
 // (non-trapping) mid-block instruction can charge. Trap paths need no
 // bound: a trap ends the block, so no hoisted boundary check follows it.
-func sbWorstCycles(c *Costs, op isa.Op) uint64 {
+// Table ops take their bound from their opcode-table cost class.
+func sbWorstCycles(c *Costs, in *isa.Inst) uint64 {
+	if t := &opTable[in.Op]; t.sem != nil {
+		return c.worstCost(t.class)
+	}
 	// One data access, worst case: TLB hit cycles or a full walk, plus the
 	// memory cost (the fast path charges TLBHit+Mem; the slow path charges
 	// one of TLBHit or Steps*WalkStep, plus Mem).
 	mem := c.TLBHit + sbMaxWalkSteps*c.WalkStep + c.Mem
-	switch op {
-	case isa.OpBEQ, isa.OpBNE, isa.OpBLT, isa.OpBGE, isa.OpBLTU, isa.OpBGEU:
-		return c.Base + c.Branch
-	case isa.OpLB, isa.OpLH, isa.OpLW, isa.OpLD, isa.OpLBU, isa.OpLHU, isa.OpLWU,
-		isa.OpSB, isa.OpSH, isa.OpSW, isa.OpSD:
-		return c.Base + mem
+	switch in.Op {
 	case isa.OpLRW, isa.OpLRD, isa.OpSCW, isa.OpSCD:
 		return c.Amo + mem
-	case isa.OpAMOSWAPW, isa.OpAMOADDW, isa.OpAMOXORW, isa.OpAMOANDW, isa.OpAMOORW,
-		isa.OpAMOSWAPD, isa.OpAMOADDD, isa.OpAMOXORD, isa.OpAMOANDD, isa.OpAMOORD:
+	}
+	switch {
+	case in.IsAMO():
 		return c.Amo + 2*mem
-	case isa.OpMUL, isa.OpMULH, isa.OpMULHSU, isa.OpMULHU, isa.OpMULW:
-		return c.Base + c.Mul
-	case isa.OpDIV, isa.OpDIVU, isa.OpREM, isa.OpREMU,
-		isa.OpDIVW, isa.OpDIVUW, isa.OpREMW, isa.OpREMUW:
-		return c.Base + c.Div
-	case isa.OpFENCE, isa.OpFENCEI:
-		return c.Base + c.Fence
+	case in.MemBytes() > 0:
+		return c.Base + mem
 	}
 	return c.Base
 }
@@ -108,8 +102,7 @@ func (e *fastPath) buildSuperblocks(h *Hart, dp *decodedPage) {
 	c := h.Cost
 	n := len(dp.insts)
 	for i := n - 1; i >= 0; i-- {
-		op := dp.insts[i].Op
-		if sbBoundary(op) || i == n-1 {
+		if sbBoundary(dp.insts[i].Op) || i == n-1 {
 			dp.sbLen[i] = 1
 			dp.sbWorst[i] = 0
 			continue
@@ -118,7 +111,7 @@ func (e *fastPath) buildSuperblocks(h *Hart, dp *decodedPage) {
 		// sbWorst excludes the run's final instruction: checks happen
 		// before each instruction, so the last one's cycles land after
 		// every hoisted check already passed.
-		dp.sbWorst[i] = sbWorstCycles(c, op) + dp.sbWorst[i+1]
+		dp.sbWorst[i] = sbWorstCycles(c, &dp.insts[i]) + dp.sbWorst[i+1]
 	}
 	dp.sbReady.Store(true)
 	e.stats.SBBuilds++
@@ -127,9 +120,7 @@ func (e *fastPath) buildSuperblocks(h *Hart, dp *decodedPage) {
 // runBatch is the engine behind Hart.RunBatch: the outer loop preserves
 // the per-boundary contract (deadline check, MTIP clear, interrupt
 // sample) and the inner loop dispatches one superblock without them,
-// justified by the event-horizon proof above. With superblocks disabled
-// it degrades to per-instruction iterations of the same outer loop —
-// the PR 3 fast-path engine.
+// justified by the event-horizon proof above.
 func (e *fastPath) runBatch(h *Hart, deadline uint64, armed bool, max uint64) (uint64, Event, bool) {
 	var n uint64
 	for n < max {
@@ -166,25 +157,22 @@ func (e *fastPath) runBatch(h *Hart, deadline uint64, armed bool, max uint64) (u
 		}
 
 		idx := (pc & (isa.PageSize - 1)) >> 2
-		blen := uint64(1)
-		if e.sb {
-			if !dp.sbReady.Load() {
-				e.buildSuperblocks(h, dp)
-			}
-			blen = uint64(dp.sbLen[idx])
-			if armed && h.Cycles+dp.sbWorst[idx] >= deadline {
-				// Event horizon: a boundary check inside the run could
-				// have fired. Pace against the deadline one instruction
-				// at a time instead.
-				e.stats.HorizonCutoffs++
-				blen = 1
-			}
-			if rem := max - n; blen > rem {
-				blen = rem
-			}
-			if blen > 1 {
-				e.stats.SBHits++
-			}
+		if !dp.sbReady.Load() {
+			e.buildSuperblocks(h, dp)
+		}
+		blen := uint64(dp.sbLen[idx])
+		if armed && h.Cycles+dp.sbWorst[idx] >= deadline {
+			// Event horizon: a boundary check inside the run could have
+			// fired. Pace against the deadline one instruction at a time
+			// instead.
+			e.stats.HorizonCutoffs++
+			blen = 1
+		}
+		if rem := max - n; blen > rem {
+			blen = rem
+		}
+		if blen > 1 {
+			e.stats.SBHits++
 		}
 
 		bare := ent.bare
@@ -194,7 +182,7 @@ func (e *fastPath) runBatch(h *Hart, deadline uint64, armed bool, max uint64) (u
 		want := pc
 		var i uint64
 		traceExit := false
-		if e.tc && e.sb && blen > 1 {
+		if h.engine == EngineTrace && blen > 1 {
 			// Compiled-trace tier (trace.go): dispatch as much of the run
 			// as possible through pre-bound handlers. The table is built
 			// lazily per decoded page; a nil table means the page was
@@ -232,7 +220,8 @@ func (e *fastPath) runBatch(h *Hart, deadline uint64, armed bool, max uint64) (u
 					break
 				}
 			}
-			// Per-fetch accounting, replayed exactly as fp.step does.
+			// Per-fetch accounting, replayed exactly as the slow fetch
+			// charges it.
 			if !bare {
 				h.TLB.Touch(tidx)
 				h.Cycles += h.Cost.TLBHit
@@ -240,11 +229,7 @@ func (e *fastPath) runBatch(h *Hart, deadline uint64, armed bool, max uint64) (u
 			h.PMP.NoteCheck()
 			want += 4
 			if h.Prof != nil && h.Cycles >= h.Prof.Next {
-				tier := telemetry.ProfTierFast
-				if e.sb {
-					tier = telemetry.ProfTierBlock
-				}
-				h.Prof.Sample(pc+4*i, h.Mode.String(), tier, h.Cycles)
+				h.Prof.Sample(pc+4*i, h.Mode.String(), telemetry.ProfTierBlock, h.Cycles)
 			}
 			ev := h.execute(dp.insts[idx+i])
 			if ev.Kind != EvNone {

@@ -9,14 +9,15 @@ import (
 	"zion/internal/telemetry"
 )
 
-// Trace-compilation tier: the fourth execution engine. Where the
-// superblock loop (superblock.go) still funnels every instruction of a
-// straight-line run through the generic execute() switch — re-extracting
-// decode fields, re-looking-up cycle costs, and re-checking dispatch
-// premises per instruction — this tier compiles each decoded page once
-// into a direct-threaded table of pre-bound operations: one specialized
-// handler per slot with register indices, immediates, and the summed
-// per-op cycle cost extracted at compile time.
+// Trace-compilation tier: the default engine. Where the superblock loop
+// (superblock.go) still funnels every instruction of a straight-line run
+// through the generic execute() — re-extracting decode fields,
+// re-deriving cycle costs, and re-checking dispatch premises per
+// instruction — this tier compiles each decoded page once into a
+// direct-threaded table of pre-bound operations: per slot, the
+// opcode-table semantics (or a micro-TLB memory handler) with register
+// indices, immediates, and the op's static cycle cost extracted at
+// compile time.
 //
 // Soundness of the once-per-entry generation check, spelled out:
 //
@@ -24,15 +25,16 @@ import (
 //     tlb.gen, pmp.gen, mmuGen, and the privilege mode are known. runTrace
 //     snapshots them into the engine scratch (tcMode/tcTLBGen/tcPMPGen/
 //     tcMMUGen) — the only generation reads of the whole dispatch.
-//  2. No specialized handler can move any of those epochs: handlers never
-//     touch the bus (so asyncGen is stable and mtimecmp/msip cannot be
+//  2. No compiled op can move any of those epochs: opcode-table ops
+//     touch only registers and the PC, and memory handlers never touch
+//     the bus (so asyncGen is stable and mtimecmp/msip cannot be
 //     rearmed mid-trace), never insert into or flush the TLB (data-slot
 //     refills use fill(), which translates via TLB.Peek and probes PMP
 //     side-effect-free), never write a CSR or PMP register, and refuse
 //     stores into registered code pages (so codeGen and decoded-page
 //     liveness are stable too). Every instruction that could move an
 //     epoch — CSR access, sfence/hfence, AMO/LR/SC, ecall/ebreak/*ret,
-//     wfi, anything that can trap — compiles to a nil handler.
+//     wfi, anything that can trap — compiles to an empty slot.
 //  3. Therefore a micro-TLB slot that matches the entry snapshot is
 //     exactly as valid as one that matches the live generations, and a
 //     slot refilled mid-trace carries epochs equal to the snapshot.
@@ -50,19 +52,10 @@ import (
 // generic loop would, and it dispatches at most the same run.
 //
 // Dispatch is allocation-free after warm-up: compilation allocates the
-// per-page table once (traceOp handlers are package-level funcs, so
-// binding them is pointer assignment, not closure capture), and the
-// dispatch loop itself performs no allocation (TestTraceDispatchAllocs
-// pins this to 0 allocs/op).
-
-// DefaultTraces controls whether the superblock engine additionally
-// compiles decoded pages into pre-bound trace tables and dispatches
-// straight-line runs through them. It only takes effect together with
-// DefaultSuperblocks (the trace tier rides on superblock metadata); with
-// it off, RunBatch degrades to the PR 5 generic superblock loop. The four
-// engines — slow, fast, block, trace — are asserted bit-identical on
-// every paper table.
-var DefaultTraces = true
+// per-page table once (handlers are package-level funcs, so binding them
+// is pointer assignment, not closure capture), and the dispatch loop
+// itself performs no allocation (TestTraceDispatchAllocs pins this to 0
+// allocs/op).
 
 // tcDemoteThreshold is the per-page invalidation count at which trace
 // compilation is demoted: a page invalidated this often (SMC or code/data
@@ -76,37 +69,27 @@ const tcDemoteThreshold = 4
 
 const tracePageSlots = isa.PageSize / 4
 
-// traceFn executes one pre-bound operation. It either retires the
-// instruction completely — accounting, cycles, Instret, architectural
-// effect, PC update — or returns false having changed nothing at all.
-type traceFn func(h *Hart, e *fastPath, op *traceOp) bool
+// memFn executes one pre-bound load or store through the micro-TLB. It
+// either retires the instruction completely — accounting, cycles,
+// Instret, architectural effect, PC update — or returns false having
+// changed nothing at all.
+type memFn func(h *Hart, e *fastPath, op *traceOp) bool
 
-// traceOp is one compiled slot: the specialized handler plus every decode
-// field it needs, pre-extracted. cost is the op's full retire cost
-// pre-summed (Base plus the class surcharge: Mul, Div, Fence, Mem for
-// memory ops, Branch for unconditional jumps); taken conditional branches
-// add Cost.Branch at run time, exactly as execute() does.
+// traceOp is one compiled slot: the opcode-table semantics (sem) or a
+// memory handler (mem) — never both; neither means the generic loop owns
+// the op — plus every decode field they need, pre-extracted. cost is the
+// op's static retire cost (the opcode-table class cost, or Base+Mem for
+// memory ops); a taken branch adds Cost.Branch at run time, exactly as
+// execute() does.
 type traceOp struct {
-	fn   traceFn
+	sem  opSem
+	mem  memFn
 	rd   uint8
 	rs1  uint8
 	rs2  uint8
 	imm  int64
 	cost uint64
 }
-
-// SetTraces toggles the trace-compilation tier on an attached engine
-// (no-op when the fast path is disabled). Compiled tables stay cached and
-// are simply ignored while off.
-func (h *Hart) SetTraces(on bool) {
-	if h.fp != nil {
-		h.fp.tc = on
-	}
-}
-
-// TracesEnabled reports whether the trace tier is active (it dispatches
-// only when superblocks are active too).
-func (h *Hart) TracesEnabled() bool { return h.fp != nil && h.fp.tc && h.fp.sb }
 
 // SetDispatchHists attaches per-tier dispatch-length histograms: every
 // superblock entry records how many instructions the generic loop retired
@@ -134,7 +117,7 @@ func (h *Hart) FlushDispatchHists() {
 }
 
 // DispatchHists returns the histograms attached by SetDispatchHists
-// (nil, nil when disabled or the fast path is off).
+// (nil, nil when disabled or on the slow engine).
 func (h *Hart) DispatchHists() (block, trace *telemetry.Histogram) {
 	if h.fp == nil {
 		return nil, nil
@@ -207,152 +190,34 @@ func TraceCompileCost(iters int) float64 {
 // traceCompileSink keeps the compiler from eliding the microbenchmark body.
 var traceCompileSink *[tracePageSlots]traceOp
 
-// compileTraceOp specializes one decoded instruction. Everything that can
-// trap, touch a CSR, reach the bus through the slow path, or move a
-// generation epoch compiles to fn == nil and is owned by the generic
-// superblock loop.
+// compileTraceOp binds one decoded instruction to its opcode-table row or
+// memory handler. Everything else — whatever can trap, touch a CSR, reach
+// the bus through the slow path, or move a generation epoch — compiles to
+// an empty slot owned by the generic superblock loop.
 func compileTraceOp(c *Costs, in *isa.Inst, op *traceOp) {
-	*op = traceOp{rd: in.Rd, rs1: in.Rs1, rs2: in.Rs2, imm: in.Imm, cost: c.Base}
-	switch in.Op {
-	case isa.OpLUI:
-		op.fn = tcLUI
-	case isa.OpAUIPC:
-		op.fn = tcAUIPC
-	case isa.OpJAL:
-		op.fn, op.cost = tcJAL, c.Base+c.Branch
-	case isa.OpJALR:
-		op.fn, op.cost = tcJALR, c.Base+c.Branch
-	case isa.OpBEQ:
-		op.fn = tcBEQ
-	case isa.OpBNE:
-		op.fn = tcBNE
-	case isa.OpBLT:
-		op.fn = tcBLT
-	case isa.OpBGE:
-		op.fn = tcBGE
-	case isa.OpBLTU:
-		op.fn = tcBLTU
-	case isa.OpBGEU:
-		op.fn = tcBGEU
-	case isa.OpLB:
-		op.fn, op.cost = tcLB, c.Base+c.Mem
-	case isa.OpLH:
-		op.fn, op.cost = tcLH, c.Base+c.Mem
-	case isa.OpLW:
-		op.fn, op.cost = tcLW, c.Base+c.Mem
-	case isa.OpLD:
-		op.fn, op.cost = tcLD, c.Base+c.Mem
-	case isa.OpLBU:
-		op.fn, op.cost = tcLBU, c.Base+c.Mem
-	case isa.OpLHU:
-		op.fn, op.cost = tcLHU, c.Base+c.Mem
-	case isa.OpLWU:
-		op.fn, op.cost = tcLWU, c.Base+c.Mem
-	case isa.OpSB:
-		op.fn, op.cost = tcSB, c.Base+c.Mem
-	case isa.OpSH:
-		op.fn, op.cost = tcSH, c.Base+c.Mem
-	case isa.OpSW:
-		op.fn, op.cost = tcSW, c.Base+c.Mem
-	case isa.OpSD:
-		op.fn, op.cost = tcSD, c.Base+c.Mem
-	case isa.OpADDI:
-		op.fn = tcADDI
-	case isa.OpSLTI:
-		op.fn = tcSLTI
-	case isa.OpSLTIU:
-		op.fn = tcSLTIU
-	case isa.OpXORI:
-		op.fn = tcXORI
-	case isa.OpORI:
-		op.fn = tcORI
-	case isa.OpANDI:
-		op.fn = tcANDI
-	case isa.OpSLLI:
-		op.fn = tcSLLI
-	case isa.OpSRLI:
-		op.fn = tcSRLI
-	case isa.OpSRAI:
-		op.fn = tcSRAI
-	case isa.OpADD:
-		op.fn = tcADD
-	case isa.OpSUB:
-		op.fn = tcSUB
-	case isa.OpSLL:
-		op.fn = tcSLL
-	case isa.OpSLT:
-		op.fn = tcSLT
-	case isa.OpSLTU:
-		op.fn = tcSLTU
-	case isa.OpXOR:
-		op.fn = tcXOR
-	case isa.OpSRL:
-		op.fn = tcSRL
-	case isa.OpSRA:
-		op.fn = tcSRA
-	case isa.OpOR:
-		op.fn = tcOR
-	case isa.OpAND:
-		op.fn = tcAND
-	case isa.OpADDIW:
-		op.fn = tcADDIW
-	case isa.OpSLLIW:
-		op.fn = tcSLLIW
-	case isa.OpSRLIW:
-		op.fn = tcSRLIW
-	case isa.OpSRAIW:
-		op.fn = tcSRAIW
-	case isa.OpADDW:
-		op.fn = tcADDW
-	case isa.OpSUBW:
-		op.fn = tcSUBW
-	case isa.OpSLLW:
-		op.fn = tcSLLW
-	case isa.OpSRLW:
-		op.fn = tcSRLW
-	case isa.OpSRAW:
-		op.fn = tcSRAW
-	case isa.OpMUL:
-		op.fn, op.cost = tcMUL, c.Base+c.Mul
-	case isa.OpMULH:
-		op.fn, op.cost = tcMULH, c.Base+c.Mul
-	case isa.OpMULHU:
-		op.fn, op.cost = tcMULHU, c.Base+c.Mul
-	case isa.OpMULHSU:
-		op.fn, op.cost = tcMULHSU, c.Base+c.Mul
-	case isa.OpMULW:
-		op.fn, op.cost = tcMULW, c.Base+c.Mul
-	case isa.OpDIV:
-		op.fn, op.cost = tcDIV, c.Base+c.Div
-	case isa.OpDIVU:
-		op.fn, op.cost = tcDIVU, c.Base+c.Div
-	case isa.OpREM:
-		op.fn, op.cost = tcREM, c.Base+c.Div
-	case isa.OpREMU:
-		op.fn, op.cost = tcREMU, c.Base+c.Div
-	case isa.OpDIVW:
-		op.fn, op.cost = tcDIVW, c.Base+c.Div
-	case isa.OpDIVUW:
-		op.fn, op.cost = tcDIVUW, c.Base+c.Div
-	case isa.OpREMW:
-		op.fn, op.cost = tcREMW, c.Base+c.Div
-	case isa.OpREMUW:
-		op.fn, op.cost = tcREMUW, c.Base+c.Div
-	case isa.OpFENCE, isa.OpFENCEI:
-		op.fn, op.cost = tcFENCE, c.Base+c.Fence
-	default:
-		// CSR, AMO, LR/SC, ecall/ebreak/sret/mret/wfi, fences of
-		// translation state, invalid encodings: generic loop only.
-		op.fn = nil
+	*op = traceOp{rd: in.Rd, rs1: in.Rs1, rs2: in.Rs2, imm: in.Imm}
+	if t := &opTable[in.Op]; t.sem != nil {
+		op.sem, op.cost = t.sem, c.staticCost(t.class)
+	} else if op.mem = tcMemOps[in.Op]; op.mem != nil {
+		op.cost = c.Base + c.Mem
 	}
+}
+
+// tcMemOps maps each plain load and store to its micro-TLB handler.
+var tcMemOps = [isa.OpCount]memFn{
+	isa.OpLB: tcLB, isa.OpLH: tcLH, isa.OpLW: tcLW, isa.OpLD: tcLD,
+	isa.OpLBU: tcLBU, isa.OpLHU: tcLHU, isa.OpLWU: tcLWU,
+	isa.OpSB: tcSB, isa.OpSH: tcSH, isa.OpSW: tcSW, isa.OpSD: tcSD,
 }
 
 // runTrace dispatches up to blen pre-bound operations starting at slot
 // idx. It returns how many instructions retired; the caller detects a
 // side exit (taken branch/jump) by comparing h.PC against the straight
-// line, exactly as the generic loop does. An abort (nil handler, stale
+// line, exactly as the generic loop does. An abort (empty slot, stale
 // unfillable slot, MMIO, code-page store) leaves the aborting instruction
-// unretired for the generic loop to execute.
+// unretired for the generic loop to execute. Each op costs exactly one
+// indirect call: table ops retire and then apply their semantics; memory
+// handlers retire themselves (tcRetire) once their slot resolves.
 func (e *fastPath) runTrace(h *Hart, tops *[tracePageSlots]traceOp, idx, blen, pc uint64, bare bool, tidx int) uint64 {
 	e.stats.TCEntries++
 	// The once-per-entry generation snapshot (see the package comment for
@@ -367,11 +232,27 @@ func (e *fastPath) runTrace(h *Hart, tops *[tracePageSlots]traceOp, idx, blen, p
 	var i uint64
 	for i = 0; i < blen; i++ {
 		op := &tops[idx+i]
-		if op.fn == nil {
-			break
-		}
 		e.tcPC = want
-		if !op.fn(h, e, op) {
+		if op.sem != nil {
+			// tcRetire, inlined by hand (the compiler will not: the
+			// profiler hook is over its budget) — this is the hottest
+			// path in the simulator.
+			if !bare {
+				h.TLB.Touch(tidx)
+				h.Cycles += h.Cost.TLBHit
+			}
+			h.PMP.NoteCheck()
+			if h.Prof != nil && h.Cycles >= h.Prof.Next {
+				e.tcSample(h)
+			}
+			h.Instret++
+			h.Cycles += op.cost
+			if op.sem(h, op) {
+				h.Cycles += h.Cost.Branch
+			}
+		} else if op.mem == nil {
+			break
+		} else if !op.mem(h, e, op) {
 			e.stats.TCBailouts++
 			break
 		}
@@ -390,7 +271,7 @@ func (e *fastPath) runTrace(h *Hart, tops *[tracePageSlots]traceOp, idx, blen, p
 // micro-TLB slot (TLB touch + TLBHit cycles unless the translation was
 // bare, plus the PMP check count), the profiler hook at the same cycle
 // point the per-step engines sample it, then retirement (Instret and the
-// pre-summed op cost).
+// op's static cost).
 func tcRetire(h *Hart, e *fastPath, cost uint64) {
 	if !e.tcBare {
 		h.TLB.Touch(e.tcTidx)
@@ -398,10 +279,16 @@ func tcRetire(h *Hart, e *fastPath, cost uint64) {
 	}
 	h.PMP.NoteCheck()
 	if h.Prof != nil && h.Cycles >= h.Prof.Next {
-		h.Prof.Sample(e.tcPC, h.Mode.String(), telemetry.ProfTierTrace, h.Cycles)
+		e.tcSample(h)
 	}
 	h.Instret++
 	h.Cycles += cost
+}
+
+// tcSample is the trace tier's profiler hook, kept out of line to keep
+// the retire sequence small.
+func (e *fastPath) tcSample(h *Hart) {
+	h.Prof.Sample(e.tcPC, h.Mode.String(), telemetry.ProfTierTrace, h.Cycles)
 }
 
 // tcValid is valid() against the entry snapshot instead of the live
@@ -432,7 +319,7 @@ func (e *fastPath) tcRefill(h *Hart, ent *mtlbEntry, va uint64, acc ptw.Access, 
 // the handler retires the fetch side first so the TLB's tick/LRU sequence
 // (fetch entry touched, then data entry) matches the slow path bit for
 // bit, then replays the data-side hit via hitAccounting on the returned
-// entry. The Mem cycles are pre-summed in op.cost.
+// entry. The Mem cycles are part of op.cost.
 func (e *fastPath) tcReadSlot(h *Hart, va, size uint64) (*mtlbEntry, []byte) {
 	off := va & (isa.PageSize - 1)
 	if off+size > isa.PageSize {
@@ -500,106 +387,11 @@ func (e *fastPath) tcStore(h *Hart, op *traceOp, size uint64) []byte {
 	return p
 }
 
-// --- Specialized handlers -------------------------------------------------
+// --- Memory handlers -----------------------------------------------------
 //
-// Each mirrors one execute() case with its fields pre-bound. Handlers
-// must retire completely or return false having changed nothing; the
-// memory handlers therefore resolve their slot before tcRetire runs.
-
-func tcLUI(h *Hart, e *fastPath, op *traceOp) bool {
-	tcRetire(h, e, op.cost)
-	h.SetReg(op.rd, uint64(op.imm))
-	h.PC += 4
-	return true
-}
-
-func tcAUIPC(h *Hart, e *fastPath, op *traceOp) bool {
-	tcRetire(h, e, op.cost)
-	h.SetReg(op.rd, h.PC+uint64(op.imm))
-	h.PC += 4
-	return true
-}
-
-func tcJAL(h *Hart, e *fastPath, op *traceOp) bool {
-	tcRetire(h, e, op.cost)
-	h.SetReg(op.rd, h.PC+4)
-	h.PC += uint64(op.imm)
-	return true
-}
-
-func tcJALR(h *Hart, e *fastPath, op *traceOp) bool {
-	tcRetire(h, e, op.cost)
-	t := (h.X[op.rs1] + uint64(op.imm)) &^ 1
-	h.SetReg(op.rd, h.PC+4)
-	h.PC = t
-	return true
-}
-
-func tcBEQ(h *Hart, e *fastPath, op *traceOp) bool {
-	tcRetire(h, e, op.cost)
-	if h.X[op.rs1] == h.X[op.rs2] {
-		h.PC += uint64(op.imm)
-		h.Cycles += h.Cost.Branch
-	} else {
-		h.PC += 4
-	}
-	return true
-}
-
-func tcBNE(h *Hart, e *fastPath, op *traceOp) bool {
-	tcRetire(h, e, op.cost)
-	if h.X[op.rs1] != h.X[op.rs2] {
-		h.PC += uint64(op.imm)
-		h.Cycles += h.Cost.Branch
-	} else {
-		h.PC += 4
-	}
-	return true
-}
-
-func tcBLT(h *Hart, e *fastPath, op *traceOp) bool {
-	tcRetire(h, e, op.cost)
-	if int64(h.X[op.rs1]) < int64(h.X[op.rs2]) {
-		h.PC += uint64(op.imm)
-		h.Cycles += h.Cost.Branch
-	} else {
-		h.PC += 4
-	}
-	return true
-}
-
-func tcBGE(h *Hart, e *fastPath, op *traceOp) bool {
-	tcRetire(h, e, op.cost)
-	if int64(h.X[op.rs1]) >= int64(h.X[op.rs2]) {
-		h.PC += uint64(op.imm)
-		h.Cycles += h.Cost.Branch
-	} else {
-		h.PC += 4
-	}
-	return true
-}
-
-func tcBLTU(h *Hart, e *fastPath, op *traceOp) bool {
-	tcRetire(h, e, op.cost)
-	if h.X[op.rs1] < h.X[op.rs2] {
-		h.PC += uint64(op.imm)
-		h.Cycles += h.Cost.Branch
-	} else {
-		h.PC += 4
-	}
-	return true
-}
-
-func tcBGEU(h *Hart, e *fastPath, op *traceOp) bool {
-	tcRetire(h, e, op.cost)
-	if h.X[op.rs1] >= h.X[op.rs2] {
-		h.PC += uint64(op.imm)
-		h.Cycles += h.Cost.Branch
-	} else {
-		h.PC += 4
-	}
-	return true
-}
+// Each mirrors one execute() load/store with its fields pre-bound. A
+// handler must retire completely or return false having changed nothing,
+// so it resolves its slot before tcRetire runs.
 
 func tcLB(h *Hart, e *fastPath, op *traceOp) bool {
 	p := e.tcLoad(h, op, 1)
@@ -707,299 +499,6 @@ func tcSD(h *Hart, e *fastPath, op *traceOp) bool {
 		return false
 	}
 	binary.LittleEndian.PutUint64(p, h.X[op.rs2])
-	h.PC += 4
-	return true
-}
-
-func tcADDI(h *Hart, e *fastPath, op *traceOp) bool {
-	tcRetire(h, e, op.cost)
-	h.SetReg(op.rd, h.X[op.rs1]+uint64(op.imm))
-	h.PC += 4
-	return true
-}
-
-func tcSLTI(h *Hart, e *fastPath, op *traceOp) bool {
-	tcRetire(h, e, op.cost)
-	h.SetReg(op.rd, b2u(int64(h.X[op.rs1]) < op.imm))
-	h.PC += 4
-	return true
-}
-
-func tcSLTIU(h *Hart, e *fastPath, op *traceOp) bool {
-	tcRetire(h, e, op.cost)
-	h.SetReg(op.rd, b2u(h.X[op.rs1] < uint64(op.imm)))
-	h.PC += 4
-	return true
-}
-
-func tcXORI(h *Hart, e *fastPath, op *traceOp) bool {
-	tcRetire(h, e, op.cost)
-	h.SetReg(op.rd, h.X[op.rs1]^uint64(op.imm))
-	h.PC += 4
-	return true
-}
-
-func tcORI(h *Hart, e *fastPath, op *traceOp) bool {
-	tcRetire(h, e, op.cost)
-	h.SetReg(op.rd, h.X[op.rs1]|uint64(op.imm))
-	h.PC += 4
-	return true
-}
-
-func tcANDI(h *Hart, e *fastPath, op *traceOp) bool {
-	tcRetire(h, e, op.cost)
-	h.SetReg(op.rd, h.X[op.rs1]&uint64(op.imm))
-	h.PC += 4
-	return true
-}
-
-func tcSLLI(h *Hart, e *fastPath, op *traceOp) bool {
-	tcRetire(h, e, op.cost)
-	h.SetReg(op.rd, h.X[op.rs1]<<uint(op.imm))
-	h.PC += 4
-	return true
-}
-
-func tcSRLI(h *Hart, e *fastPath, op *traceOp) bool {
-	tcRetire(h, e, op.cost)
-	h.SetReg(op.rd, h.X[op.rs1]>>uint(op.imm))
-	h.PC += 4
-	return true
-}
-
-func tcSRAI(h *Hart, e *fastPath, op *traceOp) bool {
-	tcRetire(h, e, op.cost)
-	h.SetReg(op.rd, uint64(int64(h.X[op.rs1])>>uint(op.imm)))
-	h.PC += 4
-	return true
-}
-
-func tcADD(h *Hart, e *fastPath, op *traceOp) bool {
-	tcRetire(h, e, op.cost)
-	h.SetReg(op.rd, h.X[op.rs1]+h.X[op.rs2])
-	h.PC += 4
-	return true
-}
-
-func tcSUB(h *Hart, e *fastPath, op *traceOp) bool {
-	tcRetire(h, e, op.cost)
-	h.SetReg(op.rd, h.X[op.rs1]-h.X[op.rs2])
-	h.PC += 4
-	return true
-}
-
-func tcSLL(h *Hart, e *fastPath, op *traceOp) bool {
-	tcRetire(h, e, op.cost)
-	h.SetReg(op.rd, h.X[op.rs1]<<(h.X[op.rs2]&63))
-	h.PC += 4
-	return true
-}
-
-func tcSLT(h *Hart, e *fastPath, op *traceOp) bool {
-	tcRetire(h, e, op.cost)
-	h.SetReg(op.rd, b2u(int64(h.X[op.rs1]) < int64(h.X[op.rs2])))
-	h.PC += 4
-	return true
-}
-
-func tcSLTU(h *Hart, e *fastPath, op *traceOp) bool {
-	tcRetire(h, e, op.cost)
-	h.SetReg(op.rd, b2u(h.X[op.rs1] < h.X[op.rs2]))
-	h.PC += 4
-	return true
-}
-
-func tcXOR(h *Hart, e *fastPath, op *traceOp) bool {
-	tcRetire(h, e, op.cost)
-	h.SetReg(op.rd, h.X[op.rs1]^h.X[op.rs2])
-	h.PC += 4
-	return true
-}
-
-func tcSRL(h *Hart, e *fastPath, op *traceOp) bool {
-	tcRetire(h, e, op.cost)
-	h.SetReg(op.rd, h.X[op.rs1]>>(h.X[op.rs2]&63))
-	h.PC += 4
-	return true
-}
-
-func tcSRA(h *Hart, e *fastPath, op *traceOp) bool {
-	tcRetire(h, e, op.cost)
-	h.SetReg(op.rd, uint64(int64(h.X[op.rs1])>>(h.X[op.rs2]&63)))
-	h.PC += 4
-	return true
-}
-
-func tcOR(h *Hart, e *fastPath, op *traceOp) bool {
-	tcRetire(h, e, op.cost)
-	h.SetReg(op.rd, h.X[op.rs1]|h.X[op.rs2])
-	h.PC += 4
-	return true
-}
-
-func tcAND(h *Hart, e *fastPath, op *traceOp) bool {
-	tcRetire(h, e, op.cost)
-	h.SetReg(op.rd, h.X[op.rs1]&h.X[op.rs2])
-	h.PC += 4
-	return true
-}
-
-func tcADDIW(h *Hart, e *fastPath, op *traceOp) bool {
-	tcRetire(h, e, op.cost)
-	h.SetReg(op.rd, sext32(uint32(h.X[op.rs1])+uint32(op.imm)))
-	h.PC += 4
-	return true
-}
-
-func tcSLLIW(h *Hart, e *fastPath, op *traceOp) bool {
-	tcRetire(h, e, op.cost)
-	h.SetReg(op.rd, sext32(uint32(h.X[op.rs1])<<uint(op.imm&31)))
-	h.PC += 4
-	return true
-}
-
-func tcSRLIW(h *Hart, e *fastPath, op *traceOp) bool {
-	tcRetire(h, e, op.cost)
-	h.SetReg(op.rd, sext32(uint32(h.X[op.rs1])>>uint(op.imm&31)))
-	h.PC += 4
-	return true
-}
-
-func tcSRAIW(h *Hart, e *fastPath, op *traceOp) bool {
-	tcRetire(h, e, op.cost)
-	h.SetReg(op.rd, uint64(int64(int32(h.X[op.rs1])>>uint(op.imm&31))))
-	h.PC += 4
-	return true
-}
-
-func tcADDW(h *Hart, e *fastPath, op *traceOp) bool {
-	tcRetire(h, e, op.cost)
-	h.SetReg(op.rd, sext32(uint32(h.X[op.rs1])+uint32(h.X[op.rs2])))
-	h.PC += 4
-	return true
-}
-
-func tcSUBW(h *Hart, e *fastPath, op *traceOp) bool {
-	tcRetire(h, e, op.cost)
-	h.SetReg(op.rd, sext32(uint32(h.X[op.rs1])-uint32(h.X[op.rs2])))
-	h.PC += 4
-	return true
-}
-
-func tcSLLW(h *Hart, e *fastPath, op *traceOp) bool {
-	tcRetire(h, e, op.cost)
-	h.SetReg(op.rd, sext32(uint32(h.X[op.rs1])<<(h.X[op.rs2]&31)))
-	h.PC += 4
-	return true
-}
-
-func tcSRLW(h *Hart, e *fastPath, op *traceOp) bool {
-	tcRetire(h, e, op.cost)
-	h.SetReg(op.rd, sext32(uint32(h.X[op.rs1])>>(h.X[op.rs2]&31)))
-	h.PC += 4
-	return true
-}
-
-func tcSRAW(h *Hart, e *fastPath, op *traceOp) bool {
-	tcRetire(h, e, op.cost)
-	h.SetReg(op.rd, uint64(int64(int32(h.X[op.rs1])>>(h.X[op.rs2]&31))))
-	h.PC += 4
-	return true
-}
-
-func tcMUL(h *Hart, e *fastPath, op *traceOp) bool {
-	tcRetire(h, e, op.cost)
-	h.SetReg(op.rd, h.X[op.rs1]*h.X[op.rs2])
-	h.PC += 4
-	return true
-}
-
-func tcMULH(h *Hart, e *fastPath, op *traceOp) bool {
-	tcRetire(h, e, op.cost)
-	h.SetReg(op.rd, mulh(int64(h.X[op.rs1]), int64(h.X[op.rs2])))
-	h.PC += 4
-	return true
-}
-
-func tcMULHU(h *Hart, e *fastPath, op *traceOp) bool {
-	tcRetire(h, e, op.cost)
-	h.SetReg(op.rd, mulhu(h.X[op.rs1], h.X[op.rs2]))
-	h.PC += 4
-	return true
-}
-
-func tcMULHSU(h *Hart, e *fastPath, op *traceOp) bool {
-	tcRetire(h, e, op.cost)
-	h.SetReg(op.rd, mulhsu(int64(h.X[op.rs1]), h.X[op.rs2]))
-	h.PC += 4
-	return true
-}
-
-func tcMULW(h *Hart, e *fastPath, op *traceOp) bool {
-	tcRetire(h, e, op.cost)
-	h.SetReg(op.rd, sext32(uint32(h.X[op.rs1])*uint32(h.X[op.rs2])))
-	h.PC += 4
-	return true
-}
-
-func tcDIV(h *Hart, e *fastPath, op *traceOp) bool {
-	tcRetire(h, e, op.cost)
-	h.SetReg(op.rd, divS(int64(h.X[op.rs1]), int64(h.X[op.rs2])))
-	h.PC += 4
-	return true
-}
-
-func tcDIVU(h *Hart, e *fastPath, op *traceOp) bool {
-	tcRetire(h, e, op.cost)
-	h.SetReg(op.rd, divU(h.X[op.rs1], h.X[op.rs2]))
-	h.PC += 4
-	return true
-}
-
-func tcREM(h *Hart, e *fastPath, op *traceOp) bool {
-	tcRetire(h, e, op.cost)
-	h.SetReg(op.rd, remS(int64(h.X[op.rs1]), int64(h.X[op.rs2])))
-	h.PC += 4
-	return true
-}
-
-func tcREMU(h *Hart, e *fastPath, op *traceOp) bool {
-	tcRetire(h, e, op.cost)
-	h.SetReg(op.rd, remU(h.X[op.rs1], h.X[op.rs2]))
-	h.PC += 4
-	return true
-}
-
-func tcDIVW(h *Hart, e *fastPath, op *traceOp) bool {
-	tcRetire(h, e, op.cost)
-	h.SetReg(op.rd, sext32(uint32(divS(int64(int32(h.X[op.rs1])), int64(int32(h.X[op.rs2]))))))
-	h.PC += 4
-	return true
-}
-
-func tcDIVUW(h *Hart, e *fastPath, op *traceOp) bool {
-	tcRetire(h, e, op.cost)
-	h.SetReg(op.rd, sext32(uint32(divU(uint64(uint32(h.X[op.rs1])), uint64(uint32(h.X[op.rs2]))))))
-	h.PC += 4
-	return true
-}
-
-func tcREMW(h *Hart, e *fastPath, op *traceOp) bool {
-	tcRetire(h, e, op.cost)
-	h.SetReg(op.rd, sext32(uint32(remS(int64(int32(h.X[op.rs1])), int64(int32(h.X[op.rs2]))))))
-	h.PC += 4
-	return true
-}
-
-func tcREMUW(h *Hart, e *fastPath, op *traceOp) bool {
-	tcRetire(h, e, op.cost)
-	h.SetReg(op.rd, sext32(uint32(remU(uint64(uint32(h.X[op.rs1])), uint64(uint32(h.X[op.rs2]))))))
-	h.PC += 4
-	return true
-}
-
-func tcFENCE(h *Hart, e *fastPath, op *traceOp) bool {
-	tcRetire(h, e, op.cost)
 	h.PC += 4
 	return true
 }

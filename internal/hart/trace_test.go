@@ -35,9 +35,6 @@ func traceAllocProgram() *asm.Program {
 // dispatch must not allocate at all — unarmed and with a live deadline.
 func TestTraceDispatchAllocs(t *testing.T) {
 	h := newHart(t)
-	if !h.TracesEnabled() {
-		t.Skip("trace tier disabled by default in this build")
-	}
 	load(t, h, ramBase, traceAllocProgram())
 
 	// Warm up: decode the page, build superblocks, compile the trace table,
@@ -89,9 +86,6 @@ func TestTraceDispatchAllocs(t *testing.T) {
 // path throughout.
 func TestTraceSMCThrashDemotion(t *testing.T) {
 	h := newHart(t)
-	if !h.TracesEnabled() {
-		t.Skip("trace tier disabled by default in this build")
-	}
 	const iters = tcDemoteThreshold + 4 // past demotion, below the blacklist
 	if iters >= blacklistThreshold {
 		t.Fatalf("test premise broken: %d iterations would blacklist the page", iters)
@@ -110,15 +104,7 @@ func TestTraceSMCThrashDemotion(t *testing.T) {
 	p.ECALL()
 	load(t, h, ramBase, p)
 
-	var ev Event
-	for s := 0; s < 10000 && ev.Kind == EvNone; s++ {
-		n, bev, ok := h.RunBatch(0, false, 1000)
-		if ok {
-			ev = bev
-		} else if n == 0 {
-			ev = h.Step()
-		}
-	}
+	ev := runBatched(t, h, 1_000_000)
 	if ev.Kind != EvTrap || ev.Trap.Cause != isa.ExcEcallM {
 		t.Fatalf("unexpected end event: %+v (pc=%#x)", ev, h.PC)
 	}
@@ -149,16 +135,13 @@ func TestTraceSMCThrashDemotion(t *testing.T) {
 // must account for exactly the ops the stats report; with the tier off, the
 // same program drains through the generic loop and only the superblock
 // histogram fills. The histograms are host-side observability — arming them
-// must leave every simulated number untouched, which the quad-engine
+// must leave every simulated number untouched, which the tri-engine
 // lockstep suites already pin — so this test checks the distribution
 // bookkeeping itself.
 func TestDispatchLengthHistograms(t *testing.T) {
-	run := func(traces bool) (sb, tc *telemetry.Histogram, st FastPathStats) {
+	run := func(eng Engine) (sb, tc *telemetry.Histogram, st FastPathStats) {
 		h := newHart(t)
-		if !h.SuperblocksEnabled() {
-			t.Skip("superblocks disabled by default in this build")
-		}
-		h.SetTraces(traces)
+		h.SetEngine(eng)
 		sb, tc = telemetry.NewHistogram(), telemetry.NewHistogram()
 		h.SetDispatchHists(sb, tc)
 		load(t, h, ramBase, traceAllocProgram())
@@ -169,7 +152,7 @@ func TestDispatchLengthHistograms(t *testing.T) {
 		return sb, tc, h.FastPathStats()
 	}
 
-	sb, tc, st := run(true)
+	sb, tc, st := run(EngineTrace)
 	if tc.Count() == 0 {
 		t.Fatalf("trace histogram empty with the tier on: %+v", st)
 	}
@@ -184,7 +167,7 @@ func TestDispatchLengthHistograms(t *testing.T) {
 	}
 	_ = sb // the trace tier may drain whole blocks, leaving the generic loop idle
 
-	sb, tc, st = run(false)
+	sb, tc, st = run(EngineBlock)
 	if tc.Count() != 0 {
 		t.Fatalf("trace histogram observed %d dispatches with the tier off", tc.Count())
 	}

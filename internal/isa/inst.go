@@ -111,6 +111,10 @@ const (
 	OpSFENCEVMA
 	OpHFENCEVVMA
 	OpHFENCEGVMA
+
+	// OpCount is one past the last operation: the length of tables
+	// indexed by Op.
+	OpCount
 )
 
 var opNames = map[Op]string{

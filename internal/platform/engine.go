@@ -44,12 +44,20 @@
 //
 // EngineFree is the opt-in fast-unordered mode for throughput runs:
 // cross-hart ops still ride outboxes and apply only on the destination
-// goroutine (memory safety is unchanged), but delivery skips the epoch
-// filter and the (epoch, src, seq) sort — ops land in host arrival
-// order, as early as the next release. Per-source FIFO order is still
-// preserved. The architectural end state of commutative workloads is
-// unchanged; the interleaving, and therefore cycle-exact replay, is
-// not. EngineBlock remains the default and the lockstep reference.
+// goroutine (memory safety is unchanged), but delivery skips the
+// (epoch, src, seq) sort — ready ops land in host arrival order.
+// Per-source FIFO order is still preserved. The architectural end state
+// of commutative workloads is unchanged; the interleaving, and
+// therefore cycle-exact replay, is not. EngineBlock remains the default
+// and the lockstep reference.
+//
+// Delivery itself is decided by epoch in both modes: an op posted in
+// epoch G reaches its destination iff the destination is still running
+// at the end of G, i.e. it finishes in a later epoch. Ops posted at or
+// after the destination's finishing epoch are dropped and counted
+// (EngineStats.DroppedOps). Which hart finishes first in host time never
+// decides an op's fate, so CrossOps, DroppedOps and the adaptive-quantum
+// input are identical across modes and reruns.
 package platform
 
 import (
@@ -147,9 +155,12 @@ type EngineStats struct {
 	// Epochs is the number of quantum barriers crossed.
 	Epochs uint64
 	// CrossOps is the total number of cross-hart ops delivered;
-	// MergedBatches counts the outbox→inbox merge operations that
-	// carried them (the locked sections per-op posting used to pay).
+	// DroppedOps counts ops posted to a hart at or after its finishing
+	// epoch, which are never applied. MergedBatches counts the
+	// outbox→inbox merge operations that carried them (the locked
+	// sections per-op posting used to pay).
 	CrossOps      uint64
+	DroppedOps    uint64
 	MergedBatches uint64
 	// QuantumGrows/QuantumShrinks count adaptive resizes; Final/Min/Max
 	// record the quantum trajectory (Min/Max as observed, not the clamps).
@@ -205,7 +216,7 @@ type engine struct {
 	turn     int      // Ordered mode: hart currently released (-1 = none)
 	deadline uint64   // cycle deadline of the current epoch
 	halted   bool     // every active hart idle: global halt
-	epochOps uint64   // ops merged during the current epoch (adaptive input)
+	epochOps uint64   // ops delivered from the epoch just ended (adaptive input)
 	idle     []bool   // per-hart: cannot make progress without peer help
 	done     []bool   // per-hart: runner returned
 	inbox    [][]xop  // per-hart pending cross-hart ops (epoch-nondecreasing)
@@ -266,10 +277,11 @@ func (e *engine) barrier(src int, idle bool) bool {
 // each op with the current epoch. Called with e.mu held, always on
 // src's own goroutine (barrier arrival or finish), always while e.gen
 // still names the epoch the ops were posted in — gen cannot advance
-// until every active hart has arrived, and src has not yet. Ops to
-// finished harts are dropped: the target's architectural state is
-// frozen, and because a hart's finishing epoch is itself deterministic,
-// the drop/deliver outcome is identical across engine modes.
+// until every active hart has arrived, and src has not yet. An op to a
+// hart that has already finished is dropped here; one to a hart that
+// finishes later in this same epoch is dropped with its inbox by finish.
+// Either way it was posted at or after the target's finishing epoch, so
+// the outcome does not depend on which of the two happened first.
 func (e *engine) mergeLocked(src int) {
 	out := e.outbox[src]
 	if len(out) == 0 {
@@ -281,12 +293,30 @@ func (e *engine) mergeLocked(src int) {
 			e.seq[src]++
 			e.inbox[op.dst] = append(e.inbox[op.dst],
 				xop{src: src, seq: e.seq[src], epoch: e.gen, fn: op.fn})
-			e.epochOps++
-			e.stats.CrossOps++
+		} else {
+			e.stats.DroppedOps++
 		}
 		out[i] = outOp{} // release the closure
 	}
 	e.outbox[src] = out[:0]
+}
+
+// countDeliveriesLocked settles the ops posted in the epoch that is
+// ending: every one still queued for a running hart will be applied at
+// that hart's release into the next epoch. Their count is the adaptive
+// resize input and is added to CrossOps. Inboxes are epoch-nondecreasing,
+// so the current epoch's ops form each inbox's suffix.
+func (e *engine) countDeliveriesLocked() {
+	e.epochOps = 0
+	for i, q := range e.inbox {
+		if e.done[i] {
+			continue
+		}
+		for j := len(q) - 1; j >= 0 && q[j].epoch == e.gen; j-- {
+			e.epochOps++
+		}
+	}
+	e.stats.CrossOps += e.epochOps
 }
 
 // beginEpochLocked transitions the barrier to the next epoch, or
@@ -295,6 +325,7 @@ func (e *engine) mergeLocked(src int) {
 // "idle forever: nothing to wake the hart" exit). With Adaptive set it
 // first applies the resize rule to the quantum the new epoch will use.
 func (e *engine) beginEpochLocked() {
+	e.countDeliveriesLocked()
 	allIdle := true
 	for i, d := range e.done {
 		if d {
@@ -336,7 +367,6 @@ func (e *engine) beginEpochLocked() {
 			e.stats.MaxQuantum = e.quantum
 		}
 	}
-	e.epochOps = 0
 	e.gen++
 	e.stats.Epochs = e.gen
 	e.arrived = 0
@@ -372,28 +402,24 @@ func (e *engine) nextTurnLocked(prev int) int {
 }
 
 // takeReadyLocked removes and returns the ops visible to hart src in the
-// current epoch.
-//
-// EngineBlock: exactly those posted in earlier epochs. Same-epoch ops
+// current epoch: exactly those posted in earlier epochs. Same-epoch ops
 // stay queued (in Ordered mode a lower-ID hart may post before a
-// higher-ID hart is released into the same epoch; free-running mode
-// could never deliver those early, so neither may Ordered mode). Merges
-// append with the then-current epoch tag and gen only grows, so each
-// inbox is epoch-nondecreasing: the ready set is a prefix, split off
-// without copying the remainder. The (epoch, src, seq) sort then makes
-// application order independent of the host-level interleaving of
-// merges from different harts.
+// higher-ID hart is released into the same epoch, and in free-running
+// mode a fast peer may finish its quantum before a slow destination
+// wakes; delivering those early would let host timing decide whether an
+// op reaches a hart that finishes in this epoch). Merges append with the
+// then-current epoch tag and gen only grows, so each inbox is
+// epoch-nondecreasing: the ready set is a prefix, split off without
+// copying the remainder.
 //
-// EngineFree: everything pending, in arrival order, no sort — the
+// EngineBlock then sorts the ready set by (epoch, src, seq), making
+// application order independent of the host-level interleaving of merges
+// from different harts. EngineFree applies it in arrival order — the
 // fast-unordered contract.
 func (e *engine) takeReadyLocked(dst int) []xop {
 	q := e.inbox[dst]
 	if len(q) == 0 {
 		return nil
-	}
-	if e.free {
-		e.inbox[dst] = nil
-		return q
 	}
 	cut := len(q)
 	for i, op := range q {
@@ -407,6 +433,9 @@ func (e *engine) takeReadyLocked(dst int) []xop {
 	}
 	ready := q[:cut]
 	e.inbox[dst] = q[cut:]
+	if e.free {
+		return ready
+	}
 	sort.Slice(ready, func(i, j int) bool {
 		a, b := ready[i], ready[j]
 		if a.epoch != b.epoch {
@@ -431,10 +460,11 @@ func (e *engine) post(src, dst int, fn func()) {
 }
 
 // finish retires hart src from the barrier after its runner returns,
-// merging any ops it posted in its final partial quantum. Pending ops
-// *for* it are dropped at merge time (see mergeLocked); if it was the
-// last hart the others were waiting for, the next epoch begins without
-// it.
+// merging any ops it posted in its final partial quantum. Ops still
+// queued for it were all posted in its finishing epoch (earlier ones
+// were applied at its last release) and are dropped; later ones are
+// dropped at merge time (see mergeLocked). If it was the last hart the
+// others were waiting for, the next epoch begins without it.
 func (e *engine) finish(src int) {
 	e.mu.Lock()
 	if e.done[src] {
@@ -443,6 +473,7 @@ func (e *engine) finish(src int) {
 	}
 	e.mergeLocked(src)
 	e.done[src] = true
+	e.stats.DroppedOps += uint64(len(e.inbox[src]))
 	e.inbox[src] = nil
 	e.nActive--
 	if !e.halted && e.nActive > 0 {

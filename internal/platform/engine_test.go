@@ -427,6 +427,10 @@ func TestFreeModeFinalStateEquivalence(t *testing.T) {
 		t.Errorf("free mode delivered %d ops, block %d — both must deliver everything posted",
 			fst.CrossOps, bst.CrossOps)
 	}
+	if fst.DroppedOps != bst.DroppedOps {
+		t.Errorf("free mode dropped %d ops, block %d — drops are decided by epoch, not host order",
+			fst.DroppedOps, bst.DroppedOps)
+	}
 }
 
 // timeout returns a channel that fires well before the test framework's

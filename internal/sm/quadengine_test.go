@@ -8,35 +8,26 @@ import (
 	"zion/internal/hart"
 )
 
-// engineMatrix enumerates the four execution engines. Every scenario in
-// this file runs once per engine and the results must be bit-identical:
-// the trace, superblock, and fast-path engines claim exact cycle
-// accounting, and SM fault handling (quarantine post-mortems included)
-// must not observe which engine hit the fault.
-var engineMatrix = []struct {
-	name string
-	fast bool
-	sb   bool
-	tc   bool
-}{
-	{"trace", true, true, true},
-	{"block", true, true, false},
-	{"fast", true, false, false},
-	{"slow", false, false, false},
+// Every scenario in this file runs once per execution engine and the
+// results must be bit-identical: the trace and superblock engines claim
+// exact cycle accounting, and SM fault handling (quarantine post-mortems
+// included) must not observe which engine hit the fault.
+
+// perEngine runs fn once per engine (hart.Engines, trace first) as a
+// subtest named after it.
+func perEngine(t *testing.T, fn func(t *testing.T, eng hart.Engine)) {
+	t.Helper()
+	for _, eng := range hart.Engines() {
+		t.Run(eng.String(), func(t *testing.T) { fn(t, eng) })
+	}
 }
 
-// perEngine runs fn once per engine with the hart construction globals
-// set accordingly, restoring them afterwards.
-func perEngine(t *testing.T, fn func(t *testing.T)) {
+// newEngineFixture is newFixture with the hart on engine eng.
+func newEngineFixture(t *testing.T, eng hart.Engine) *fixture {
 	t.Helper()
-	oldFP, oldSB, oldTC := hart.DefaultFastPath, hart.DefaultSuperblocks, hart.DefaultTraces
-	defer func() {
-		hart.DefaultFastPath, hart.DefaultSuperblocks, hart.DefaultTraces = oldFP, oldSB, oldTC
-	}()
-	for _, e := range engineMatrix {
-		hart.DefaultFastPath, hart.DefaultSuperblocks, hart.DefaultTraces = e.fast, e.sb, e.tc
-		t.Run(e.name, fn)
-	}
+	f := newFixture(t, Config{})
+	f.h.SetEngine(eng)
+	return f
 }
 
 // compSnap is the observable outcome of a mid-run compartment fault,
@@ -65,11 +56,11 @@ type compSnap struct {
 // of a (super)block, the guest receives an SBI error and keeps running to
 // shutdown. Post-mortem attribution (compartment, op, cycle, hart, epoch,
 // cause), the guest-visible outcome, and the final cycle counter must be
-// bit-identical across the slow, fast, superblock, and trace engines.
+// bit-identical across the slow, superblock, and trace engines.
 func TestQuadEngineCompartmentQuarantineLockstep(t *testing.T) {
 	var snaps []compSnap
-	perEngine(t, func(t *testing.T) {
-		f := newFixture(t, Config{})
+	perEngine(t, func(t *testing.T, eng hart.Engine) {
+		f := newEngineFixture(t, eng)
 		f.buildCVM(shutdownProgram(func(p *asm.Program) {
 			// Enough straight-line compute for the superblock engine to
 			// form and chain blocks before the fault site.
@@ -123,8 +114,8 @@ func TestQuadEngineCompartmentQuarantineLockstep(t *testing.T) {
 		})
 	})
 
-	if len(snaps) != len(engineMatrix) {
-		t.Fatalf("engines run = %d, want %d", len(snaps), len(engineMatrix))
+	if len(snaps) != len(hart.Engines()) {
+		t.Fatalf("engines run = %d, want %d", len(snaps), len(hart.Engines()))
 	}
 	ref := snaps[0]
 	if ref.comp != CompAttest || ref.op != "sbi-attest" {
@@ -138,8 +129,8 @@ func TestQuadEngineCompartmentQuarantineLockstep(t *testing.T) {
 	}
 	for i, s := range snaps[1:] {
 		if s != ref {
-			t.Errorf("engine %s diverged from %s:\n  %+v\nvs\n  %+v",
-				engineMatrix[i+1].name, engineMatrix[0].name, s, ref)
+			t.Errorf("engine %v diverged from %v:\n  %+v\nvs\n  %+v",
+				hart.Engines()[i+1], hart.Engines()[0], s, ref)
 		}
 	}
 }
@@ -163,8 +154,8 @@ type quarSnap struct {
 // final cycle counter must be bit-identical across engines.
 func TestQuadEngineCVMQuarantineLockstep(t *testing.T) {
 	var snaps []quarSnap
-	perEngine(t, func(t *testing.T) {
-		f := newFixture(t, Config{})
+	perEngine(t, func(t *testing.T, eng hart.Engine) {
+		f := newEngineFixture(t, eng)
 		id := f.buildCVM(shutdownProgram(func(p *asm.Program) {
 			p.LI(asm.T0, 0x1000_0000) // MMIO window: forces a publishExit
 			p.LD(asm.S4, asm.T0, 0)
@@ -195,8 +186,8 @@ func TestQuadEngineCVMQuarantineLockstep(t *testing.T) {
 		})
 	})
 
-	if len(snaps) != len(engineMatrix) {
-		t.Fatalf("engines run = %d, want %d", len(snaps), len(engineMatrix))
+	if len(snaps) != len(hart.Engines()) {
+		t.Fatalf("engines run = %d, want %d", len(snaps), len(hart.Engines()))
 	}
 	ref := snaps[0]
 	if ref.pagesFreed == 0 {
@@ -204,8 +195,8 @@ func TestQuadEngineCVMQuarantineLockstep(t *testing.T) {
 	}
 	for i, s := range snaps[1:] {
 		if s != ref {
-			t.Errorf("engine %s diverged from %s:\n  %+v\nvs\n  %+v",
-				engineMatrix[i+1].name, engineMatrix[0].name, s, ref)
+			t.Errorf("engine %v diverged from %v:\n  %+v\nvs\n  %+v",
+				hart.Engines()[i+1], hart.Engines()[0], s, ref)
 		}
 	}
 }

@@ -282,6 +282,33 @@ func TestCheckAfterLoadDetectsTampering(t *testing.T) {
 	}
 }
 
+// A tamper that leaves the low byte of TargetReg intact and flips only a
+// higher bit must still fail Check-after-Load: the SM compares the full
+// 64-bit field, not the register index it will eventually use.
+func TestCheckAfterLoadDetectsHighBitTargetTamper(t *testing.T) {
+	f := newFixture(t, Config{})
+	f.buildCVM(shutdownProgram(func(p *asm.Program) {
+		p.LI(asm.T0, 0x1000_0000)
+		p.LD(asm.S4, asm.T0, 0)
+	}))
+	if info := f.run(); info.Reason != ExitMMIORead {
+		t.Fatalf("reason = %v", info.Reason)
+	}
+	if err := f.m.RAM.WriteUint64(sharedPA+shvTargetReg, uint64(asm.S4)|1<<8); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.s.RunVCPU(f.h, f.id, 0); !errors.Is(err, ErrTampered) {
+		t.Fatalf("err = %v, want ErrTampered", err)
+	}
+	rec, ok := f.s.Quarantined(f.id)
+	if !ok {
+		t.Fatal("tampered CVM not quarantined")
+	}
+	if !errors.Is(rec.Cause, ErrTampered) {
+		t.Errorf("quarantine cause = %v, want ErrTampered", rec.Cause)
+	}
+}
+
 func TestGuestSBIPutcharAndRandom(t *testing.T) {
 	f := newFixture(t, Config{})
 	f.buildCVM(shutdownProgram(func(p *asm.Program) {

@@ -371,7 +371,7 @@ func (s *SM) resumeFromExit(h *hart.Hart, c *CVM, v *VCPU) error {
 	h.Advance(fields * (2*h.Cost.RegCopy + h.Cost.RegCheck))
 
 	if seq != p.seq || reason != p.reason ||
-		uint8(target) != p.targetReg || int(width) != p.width {
+		target != uint64(p.targetReg) || int(width) != p.width {
 		return fmt.Errorf("%w: seq=%d/%d reason=%v/%v target=%d/%d width=%d/%d",
 			ErrTampered, seq, p.seq, reason, p.reason, target, p.targetReg, width, p.width)
 	}

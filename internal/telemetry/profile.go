@@ -14,8 +14,7 @@ type ProfTier uint8
 
 // Engine tiers.
 const (
-	ProfTierSlow  ProfTier = iota // interpreter Step()
-	ProfTierFast                  // per-instruction fast path
+	ProfTierSlow  ProfTier = iota // reference interpreter Step()
 	ProfTierBlock                 // superblock batch dispatch
 	ProfTierTrace                 // compiled-trace dispatch (pre-bound handlers)
 )
@@ -25,8 +24,6 @@ func (t ProfTier) String() string {
 	switch t {
 	case ProfTierSlow:
 		return "slow"
-	case ProfTierFast:
-		return "fast"
 	case ProfTierBlock:
 		return "block"
 	case ProfTierTrace:

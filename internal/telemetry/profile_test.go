@@ -36,8 +36,8 @@ func TestProfilerCursorSumsExactly(t *testing.T) {
 	// runs); a world switch mid-stream moves the CVM attribution.
 	p.Sample(0x1000, "HS", ProfTierSlow, 137)
 	sc.AttrSwitch(0, 137, 3, AttrGuest)
-	p.Sample(0x2000, "VS", ProfTierFast, 450)
-	p.Sample(0x2004, "VS", ProfTierFast, 900)
+	p.Sample(0x2000, "VS", ProfTierTrace, 450)
+	p.Sample(0x2004, "VS", ProfTierTrace, 900)
 	sc.AttrSwitch(0, 900, NoCVM, AttrHost)
 	p.Flush(1234)
 
