@@ -9,9 +9,9 @@
 #                 compartment-compromise campaign + a short host-throughput
 #                 run (also verifies bit-identity)
 #   make bench  - regenerate the paper's evaluation tables
-#   make bench-host       - measure host MIPS on the trace, block and slow
-#                           engines plus the multi-hart parallel engine,
-#                           write BENCH_host.json
+#   make bench-host       - measure host MIPS on the trace and slow engines
+#                           plus the multi-hart parallel engine, write
+#                           BENCH_host.json
 #   make bench-host-short - same at 1/8 scale, write BENCH_host_short.json
 #                           (the committed CI gate baseline)
 #   make bench-gate       - re-measure at 1/8 scale and fail if the simulated
@@ -29,8 +29,8 @@
 #                           checked inside zionbench); writes the latency
 #                           histogram artifact serving_hist.json
 #   make test-allocs      - pin the zero-allocation contract of the reference
-#                           interpreter and the superblock and compiled-trace
-#                           dispatch loops
+#                           interpreter and the trace engine's superblock
+#                           and compiled-trace dispatch loops
 
 GO ?= go
 # HOSTHARTS sizes the parallel host-throughput section (bench-multicore).
@@ -105,17 +105,19 @@ smoke-serving:
 	$(GO) run ./cmd/zionbench -e serving -servrequests 20000 -servhist serving_hist.json
 
 # test-allocs is the hot-loop allocation gate: the reference interpreter's
-# Step and the superblock and compiled-trace dispatch loops must run
-# allocation-free once warm. The suite runs these anyway; the dedicated
-# target gives CI a cheap job whose failure names the regression directly.
+# Step and the trace engine's RunBatch — its superblock loop, including
+# the execute() retire of whatever a trace stops at, and the
+# compiled-trace dispatch itself — must run allocation-free once warm.
+# The suite runs these anyway; the dedicated target gives CI a cheap job
+# whose failure names the regression directly.
 test-allocs:
 	$(GO) test ./internal/hart -run 'TestStepSlowZeroAllocs|TestRunBatchSuperblockZeroAllocs|TestTraceDispatchAllocs' -count=1 -v
 
 bench:
 	$(GO) run ./cmd/zionbench
 
-# bench-host times the T1 aes and E4 CoreMark guests on the trace, block
-# and slow engines, then the 4-hart aes workload sequentially vs under the
+# bench-host times the T1 aes and E4 CoreMark guests on the trace and slow
+# engines, then the 4-hart aes workload sequentially vs under the
 # quantum-barrier parallel engine; the run fails if any simulated cycle
 # count diverges between engines.
 bench-host:

@@ -36,7 +36,7 @@ import (
 )
 
 // engine is the execution tier the paper tables run on. Every tier yields
-// bit-identical tables (the bench package's tri-engine lockstep tests);
+// bit-identical tables (the bench package's trace-vs-slow lockstep tests);
 // the default is simply the fastest.
 const engine = hart.EngineTrace
 
@@ -125,7 +125,7 @@ func main() {
 	traceCap := flag.Int("tracecap", 0, "trace ring capacity in events (0 = default)")
 	cpuprofile := flag.String("cpuprofile", "", "write a Go CPU profile of the simulator itself")
 	memprofile := flag.String("memprofile", "", "write a Go heap profile of the simulator itself")
-	hostbench := flag.String("hostbench", "", "measure host MIPS on the trace, block and slow engines and write a JSON report to FILE")
+	hostbench := flag.String("hostbench", "", "measure host MIPS on the trace and slow engines and write a JSON report to FILE")
 	hostdiv := flag.Int("hostdiv", 1, "divide host-bench workload scales (faster, noisier)")
 	hostharts := flag.Int("hostharts", 4, "harts for the parallel host-throughput section (0 = skip)")
 	quantum := flag.Uint64("quantum", 0, "fixed barrier quantum in simulated cycles for the parallel section (0 = adaptive)")
@@ -456,7 +456,7 @@ func main() {
 	}
 
 	if *hostbench != "" || *hostgate != "" {
-		section("HOST", "host-side throughput: compiled traces vs superblock vs reference interpreter")
+		section("HOST", "host-side throughput: compiled traces vs reference interpreter")
 		r, err := bench.RunHost(*hostdiv)
 		if err != nil {
 			fail("host", err)

@@ -75,7 +75,7 @@ func FlushTelemetry() {
 			e.Tel.Gauge(fmt.Sprintf("hart%d/cycles", h.ID)).Set(h.Cycles)
 			// Fast-path engine counters: host-side observability only, no
 			// effect on any simulated number.
-			h.FlushDispatchHists()
+			h.FlushDispatchHist()
 			fs := h.FastPathStats()
 			e.Tel.Gauge(fmt.Sprintf("hart%d/fp/fetch_hits", h.ID)).Set(fs.FetchHits)
 			e.Tel.Gauge(fmt.Sprintf("hart%d/fp/fetch_misses", h.ID)).Set(fs.FetchMisses)
@@ -87,14 +87,10 @@ func FlushTelemetry() {
 			e.Tel.Gauge(fmt.Sprintf("hart%d/fp/fill_fails", h.ID)).Set(fs.FillFails)
 			e.Tel.Gauge(fmt.Sprintf("hart%d/fp/block_builds", h.ID)).Set(fs.BlockBuilds)
 			e.Tel.Gauge(fmt.Sprintf("hart%d/fp/block_invals", h.ID)).Set(fs.BlockInvals)
-			// Superblock engine counters (PR 5): dispatch effectiveness and
-			// how often the event horizon forced single-step pacing.
-			e.Tel.Gauge(fmt.Sprintf("hart%d/fp/sb/hits", h.ID)).Set(fs.SBHits)
-			e.Tel.Gauge(fmt.Sprintf("hart%d/fp/sb/builds", h.ID)).Set(fs.SBBuilds)
-			e.Tel.Gauge(fmt.Sprintf("hart%d/fp/sb/invalidations", h.ID)).Set(fs.SBInvals)
+			// How often the event horizon forced single-step pacing.
 			e.Tel.Gauge(fmt.Sprintf("hart%d/fp/sb/horizon_cutoffs", h.ID)).Set(fs.HorizonCutoffs)
-			// Trace-compilation tier counters (PR 8): compile activity,
-			// dispatch effectiveness, and the demotion/bailout safety valves.
+			// Trace compilation and dispatch: compile activity, dispatch
+			// effectiveness, and the demotion/bailout safety valves.
 			e.Tel.Gauge(fmt.Sprintf("hart%d/fp/tc/compiles", h.ID)).Set(fs.TCCompiles)
 			e.Tel.Gauge(fmt.Sprintf("hart%d/fp/tc/recompiles", h.ID)).Set(fs.TCRecompiles)
 			e.Tel.Gauge(fmt.Sprintf("hart%d/fp/tc/demotions", h.ID)).Set(fs.TCDemotions)
@@ -173,13 +169,10 @@ func NewEnv(cfg EnvConfig) *Env {
 		for _, hh := range m.Harts {
 			hh.Tel = sc
 			hh.Prof = sc.Profiler(hh.ID) // nil unless the sink armed profiling
-			// Per-tier dispatch-length distributions (no-op on slow-engine
-			// harts; the engine's record sites are nil-guarded when the
-			// plane is dark, preserving zero overhead when disabled).
-			hh.SetDispatchHists(
-				sc.Histogram(fmt.Sprintf("hart%d/fp/sb/dispatch_len", hh.ID)),
-				sc.Histogram(fmt.Sprintf("hart%d/fp/tc/dispatch_len", hh.ID)),
-			)
+			// Trace dispatch-length distribution (no-op on slow-engine
+			// harts; the record site is nil-guarded when the plane is
+			// dark, preserving zero overhead when disabled).
+			hh.SetDispatchHist(sc.Histogram(fmt.Sprintf("hart%d/fp/tc/dispatch_len", hh.ID)))
 		}
 	}
 	if err := k.RegisterSecurePool(h, cfg.PoolSize); err != nil {

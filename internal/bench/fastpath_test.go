@@ -8,12 +8,11 @@ import (
 	"zion/internal/telemetry"
 )
 
-// runBothWays executes run once per engine — compiled trace, superblock,
-// and the slow reference interpreter — and fails unless the results —
-// every simulated cycle count, score, and percentage in the paper tables
-// — are bit-identical across all three. This is the automated form of the
-// engines' core guarantee: each is an accelerator, never a semantic
-// change.
+// runBothWays executes run once per engine — compiled trace and the slow
+// reference interpreter — and fails unless the results — every simulated
+// cycle count, score, and percentage in the paper tables — are
+// bit-identical across both. This is the automated form of the trace
+// engine's core guarantee: it is an accelerator, never a semantic change.
 func runBothWays[T any](t *testing.T, name string, run func(hart.Engine) (T, error)) {
 	t.Helper()
 	engines := hart.Engines()

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"sort"
 	"testing"
 	"time"
 
@@ -15,27 +16,20 @@ import (
 )
 
 // HostRow compares host-side throughput for one guest workload executed
-// on each engine: "trace" (compiled-trace dispatch on top of
-// superblocks), "block" (superblock + event-horizon batching), and the
-// "slow" reference interpreter. Simulated cycles are included because
-// they must match exactly across all three — the host benchmark doubles
-// as an end-to-end bit-identity check.
+// on each engine: "trace" (compiled-trace dispatch over superblocks with
+// event-horizon batching) and the "slow" reference interpreter. Simulated
+// cycles are included because they must match exactly across both — the
+// host benchmark doubles as an end-to-end bit-identity check.
 type HostRow struct {
 	Name         string  `json:"name"`
 	Instructions uint64  `json:"instructions"`
 	Cycles       uint64  `json:"simulated_cycles"`
 	TraceSeconds float64 `json:"trace_seconds,omitempty"`
-	BlockSeconds float64 `json:"block_seconds,omitempty"`
 	SlowSeconds  float64 `json:"slow_seconds"`
 	TraceMIPS    float64 `json:"trace_mips,omitempty"`
-	BlockMIPS    float64 `json:"block_mips,omitempty"`
 	SlowMIPS     float64 `json:"slow_mips"`
-	// BlockSpeedup is block/slow MIPS; TraceSpeedup is trace/slow MIPS.
-	// TraceOverBlock is trace/block MIPS — the tier-over-tier ratio the
-	// trace floor gates.
-	BlockSpeedup   float64 `json:"block_speedup,omitempty"`
-	TraceSpeedup   float64 `json:"trace_speedup,omitempty"`
-	TraceOverBlock float64 `json:"trace_over_block,omitempty"`
+	// TraceSpeedup is trace/slow MIPS, the ratio the 20% gate compares.
+	TraceSpeedup float64 `json:"trace_speedup,omitempty"`
 }
 
 // HostResult is the payload of BENCH_host.json: the perf trajectory the
@@ -46,12 +40,9 @@ type HostResult struct {
 	// regression target is exactly 0.
 	ScalarReadAllocs  float64 `json:"scalar_read_allocs_per_op"`
 	ScalarWriteAllocs float64 `json:"scalar_write_allocs_per_op"`
-	// MinBlockSpeedup is the worst block-engine speedup over slow across
-	// the workloads; MinTraceSpeedup and MinTraceOverBlock are the
-	// trace-tier analogues.
-	MinBlockSpeedup   float64 `json:"min_block_speedup,omitempty"`
-	MinTraceSpeedup   float64 `json:"min_trace_speedup,omitempty"`
-	MinTraceOverBlock float64 `json:"min_trace_over_block,omitempty"`
+	// MinTraceSpeedup is the worst trace speedup over slow across the
+	// workloads.
+	MinTraceSpeedup float64 `json:"min_trace_speedup,omitempty"`
 	// TraceAmort is the trace-compilation amortization record (absent in
 	// files predating the trace tier).
 	TraceAmort *TraceAmortResult `json:"trace_amortization,omitempty"`
@@ -67,24 +58,38 @@ type HostResult struct {
 }
 
 // ObsOverheadResult measures what arming the observability plane — the
-// cycle-domain sampling profiler at its default period, attribution, and
-// the always-on flight recorder — costs in host throughput, and re-proves
-// that an armed run is bit-identical to an unarmed one.
+// cycle-domain sampling profiler at its default period, attribution, the
+// dispatch-length histogram, and the always-on flight recorder — costs in
+// host throughput, and re-proves that an armed run is bit-identical to an
+// unarmed one.
 type ObsOverheadResult struct {
-	Workload      string  `json:"workload"`
-	Engine        string  `json:"engine"`
-	ProfilePeriod uint64  `json:"profile_period"`
-	OffMIPS       float64 `json:"off_mips"`
-	ArmedMIPS     float64 `json:"armed_mips"`
-	// OverheadPct is (off-armed)/off*100: positive = armed is slower.
-	OverheadPct  float64 `json:"overhead_pct"`
-	BitIdentical bool    `json:"bit_identical"`
+	Workload      string `json:"workload"`
+	Engine        string `json:"engine"`
+	ProfilePeriod uint64 `json:"profile_period"`
+	// Pairs is the number of interleaved off/armed scheduler-slice pairs.
+	// OffMIPS and ArmedMIPS are each side's median over its slices; the
+	// min/max fields its spread.
+	Pairs        int     `json:"pairs"`
+	OffMIPS      float64 `json:"off_mips"`
+	OffMinMIPS   float64 `json:"off_min_mips"`
+	OffMaxMIPS   float64 `json:"off_max_mips"`
+	ArmedMIPS    float64 `json:"armed_mips"`
+	ArmedMinMIPS float64 `json:"armed_min_mips"`
+	ArmedMaxMIPS float64 `json:"armed_max_mips"`
+	// OverheadPct is the median over the pairs of (off-armed)/off*100
+	// (positive = armed is slower): a pair's two slices are the same
+	// simulated work run back to back, so host drift cancels within a
+	// pair. The min/max fields are the spread across pairs.
+	OverheadPct    float64 `json:"overhead_pct"`
+	OverheadMinPct float64 `json:"overhead_min_pct"`
+	OverheadMaxPct float64 `json:"overhead_max_pct"`
+	BitIdentical   bool    `json:"bit_identical"`
 }
 
 // TraceAmortResult records whether trace compilation pays for itself on
 // the measured workloads: the one-time host cost of compiling a page's
 // pre-bound table versus the per-instruction saving of dispatching
-// through it instead of the generic superblock loop. The gate rejects
+// through it instead of the slow reference interpreter. The gate rejects
 // compile-heavy pathology — workloads that compile pages they never
 // amortize.
 type TraceAmortResult struct {
@@ -98,7 +103,7 @@ type TraceAmortResult struct {
 	TraceOps        uint64 `json:"trace_ops"`
 	// CompileNsPerPage is the microbenchmarked host cost of compiling one
 	// page table; SavedNsPerOp is the measured per-instruction host-time
-	// saving of the trace engine over the superblock engine.
+	// saving of the trace engine over the slow engine.
 	CompileNsPerPage float64 `json:"compile_ns_per_page"`
 	SavedNsPerOp     float64 `json:"saved_ns_per_op"`
 	// BreakEvenOps is CompileNsPerPage/SavedNsPerOp: trace-dispatched
@@ -111,12 +116,11 @@ type TraceAmortResult struct {
 
 // Format renders a human summary.
 func (r HostResult) Format() []string {
-	out := []string{fmt.Sprintf("%-10s %12s %11s %11s %10s %8s %8s %9s",
-		"workload", "instructions", "trace MIPS", "block MIPS", "slow MIPS", "trace", "block", "trc/blk")}
+	out := []string{fmt.Sprintf("%-10s %12s %11s %10s %8s",
+		"workload", "instructions", "trace MIPS", "slow MIPS", "trace")}
 	for _, row := range r.Rows {
-		out = append(out, fmt.Sprintf("%-10s %12d %11.2f %11.2f %10.2f %7.2fx %7.2fx %8.2fx",
-			row.Name, row.Instructions, row.TraceMIPS, row.BlockMIPS, row.SlowMIPS,
-			row.TraceSpeedup, row.BlockSpeedup, row.TraceOverBlock))
+		out = append(out, fmt.Sprintf("%-10s %12d %11.2f %10.2f %7.2fx",
+			row.Name, row.Instructions, row.TraceMIPS, row.SlowMIPS, row.TraceSpeedup))
 	}
 	out = append(out, fmt.Sprintf("scalar mem path: %.2f allocs/op read, %.2f allocs/op write",
 		r.ScalarReadAllocs, r.ScalarWriteAllocs))
@@ -138,8 +142,9 @@ func (r HostResult) Format() []string {
 		}
 	}
 	if o := r.Observability; o != nil {
-		out = append(out, fmt.Sprintf("observability overhead: %s/%s armed@%d: %.2f -> %.2f MIPS (%+.2f%%, bit-identical=%v)",
-			o.Workload, o.Engine, o.ProfilePeriod, o.OffMIPS, o.ArmedMIPS, o.OverheadPct, o.BitIdentical))
+		out = append(out, fmt.Sprintf("observability overhead: %s/%s armed@%d, median of %d pairs: %.2f [%.2f-%.2f] -> %.2f [%.2f-%.2f] MIPS (%+.2f%% [%+.2f%% to %+.2f%%], bit-identical=%v)",
+			o.Workload, o.Engine, o.ProfilePeriod, o.Pairs, o.OffMIPS, o.OffMinMIPS, o.OffMaxMIPS,
+			o.ArmedMIPS, o.ArmedMinMIPS, o.ArmedMaxMIPS, o.OverheadPct, o.OverheadMinPct, o.OverheadMaxPct, o.BitIdentical))
 	}
 	if s := r.Serving; s != nil {
 		out = append(out, fmt.Sprintf("serving: %d requests x%d CVMs x%d queues depth %d coalesce %d: %d cycles vs %d baseline (%.2fx, floor %.2fx, deterministic=%v)",
@@ -157,11 +162,11 @@ func (r HostResult) Format() []string {
 //     match the baseline exactly — any drift means the simulation changed
 //     behaviour, which is a correctness failure, not a perf one. The
 //     parallel section must report Deterministic.
-//   - Throughput: per-workload block and trace speedups over the slow
-//     engine (machine-relative ratios) must not regress more than 20%
-//     below the baseline ratios. Absolute MIPS is deliberately not gated — CI runners
-//     differ — and the parallel speedup is gated only when the host has
-//     enough cores for the baseline ratio to be reproducible.
+//   - Throughput: per-workload trace speedup over the slow engine (a
+//     machine-relative ratio) must not regress more than 20% below the
+//     baseline ratio. Absolute MIPS is deliberately not gated — CI
+//     runners differ — and the parallel speedup is gated only when the
+//     host has enough cores for the baseline ratio to be reproducible.
 func CheckHostRegression(baseline, current HostResult) error {
 	base := make(map[string]HostRow, len(baseline.Rows))
 	for _, r := range baseline.Rows {
@@ -176,22 +181,9 @@ func CheckHostRegression(baseline, current HostResult) error {
 			return fmt.Errorf("host gate: %s simulation fingerprint diverged: instructions %d vs baseline %d, cycles %d vs baseline %d",
 				r.Name, r.Instructions, b.Instructions, r.Cycles, b.Cycles)
 		}
-		if b.BlockSpeedup > 0 && r.BlockSpeedup < b.BlockSpeedup*0.8 {
-			return fmt.Errorf("host gate: %s superblock speedup regressed >20%%: %.2fx vs baseline %.2fx",
-				r.Name, r.BlockSpeedup, b.BlockSpeedup)
-		}
 		if b.TraceSpeedup > 0 && r.TraceSpeedup < b.TraceSpeedup*0.8 {
 			return fmt.Errorf("host gate: %s trace speedup regressed >20%%: %.2fx vs baseline %.2fx",
 				r.Name, r.TraceSpeedup, b.TraceSpeedup)
-		}
-		// Absolute floor, independent of the baseline: the trace tier must
-		// beat the superblock engine by the minimum ratio on every measured
-		// workload. Ratios are machine-relative (both sides timed on the
-		// same host in the same process), so the floor is portable where
-		// absolute MIPS is not.
-		if r.TraceOverBlock > 0 && r.TraceOverBlock < MinTraceOverBlockFloor {
-			return fmt.Errorf("host gate: %s trace tier only %.2fx over the superblock engine (floor %.2fx)",
-				r.Name, r.TraceOverBlock, MinTraceOverBlockFloor)
 		}
 	}
 	if a := current.TraceAmort; a != nil && a.BreakEvenOps > 0 &&
@@ -258,7 +250,8 @@ func CheckHostRegression(baseline, current HostResult) error {
 		// Absolute gates on the fresh measurement, independent of the
 		// baseline: arming the plane must never change simulated results,
 		// and its throughput tax at the default sampling period must stay
-		// under 3% — the budget the plane was designed to.
+		// under 3% — the budget the plane was designed to — judged on the
+		// median over interleaved pairs.
 		if !o.BitIdentical {
 			return fmt.Errorf("host gate: observability-armed run diverged from unarmed run")
 		}
@@ -277,17 +270,18 @@ type hostSample struct {
 	fp      hart.FastPathStats // engine counters at completion (zero for slow)
 }
 
-// MinTraceOverBlockFloor is the CheckHostRegression floor on the trace
-// tier's per-workload speedup over the superblock engine. The measured
-// full-scale ratios (BENCH_host.json) leave clear headroom over it.
-const MinTraceOverBlockFloor = 1.5
+// bootHost boots a fresh stack with the selected engine, wired to the
+// current bench sink, and loads the kernel into a CVM ready to run.
+func bootHost(k workloads.Kernel, scale int, eng hart.Engine) (*Env, *hv.VM, error) {
+	e := NewEnv(EnvConfig{Engine: eng, SM: sm.Config{SchedQuantum: rv8TickQuantum()}})
+	cvm, err := e.HV.CreateCVM(e.H, k.Name, workloads.Program(k, scale), hv.GuestRAMBase)
+	return e, cvm, err
+}
 
 // runHostOnce boots a fresh stack with the selected engine and drives the
 // kernel to completion inside a CVM, timing only the guest run.
 func runHostOnce(k workloads.Kernel, scale int, eng hart.Engine) (hostSample, error) {
-	e := NewEnv(EnvConfig{Engine: eng, SM: sm.Config{SchedQuantum: rv8TickQuantum()}})
-	img := workloads.Program(k, scale)
-	cvm, err := e.HV.CreateCVM(e.H, k.Name, img, hv.GuestRAMBase)
+	e, cvm, err := bootHost(k, scale, eng)
 	if err != nil {
 		return hostSample{}, err
 	}
@@ -326,11 +320,11 @@ func scalarAllocs() (read, write float64) {
 }
 
 // RunHost measures host instructions/second on the T1 aes and E4 CoreMark
-// CVM drivers on all three engines: compiled trace, superblock, and the
-// slow reference interpreter. scaleDiv divides workload scales like the
+// CVM drivers on both engines: compiled trace and the slow reference
+// interpreter. scaleDiv divides workload scales like the
 // other experiments (1 = full paper scale). It errors if any workload's
-// simulated cycle or instruction count differs between any two engines —
-// the bit-identity guarantee, enforced where the numbers are produced.
+// simulated cycle or instruction count differs between the engines — the
+// bit-identity guarantee, enforced where the numbers are produced.
 func RunHost(scaleDiv int) (HostResult, error) {
 	if scaleDiv < 1 {
 		scaleDiv = 1
@@ -365,54 +359,36 @@ func RunHost(scaleDiv int) (HostResult, error) {
 		if err != nil {
 			return res, fmt.Errorf("%s trace: %w", k.Name, err)
 		}
-		block, err := runHostOnce(k.Kernel, scale, hart.EngineBlock)
-		if err != nil {
-			return res, fmt.Errorf("%s block: %w", k.Name, err)
-		}
 		slow, err := runHostOnce(k.Kernel, scale, hart.EngineSlow)
 		if err != nil {
 			return res, fmt.Errorf("%s slow: %w", k.Name, err)
 		}
-		for _, s := range []hostSample{trace, block} {
-			if s.cycles != slow.cycles || s.instr != slow.instr {
-				return res, fmt.Errorf("%s: engine divergence from slow path: cycles %d vs %d, instret %d vs %d",
-					k.Name, s.cycles, slow.cycles, s.instr, slow.instr)
-			}
+		if trace.cycles != slow.cycles || trace.instr != slow.instr {
+			return res, fmt.Errorf("%s: engine divergence from slow path: cycles %d vs %d, instret %d vs %d",
+				k.Name, trace.cycles, slow.cycles, trace.instr, slow.instr)
 		}
 		row := HostRow{
 			Name:         k.Name,
 			Instructions: slow.instr,
 			Cycles:       slow.cycles,
 			TraceSeconds: trace.seconds,
-			BlockSeconds: block.seconds,
 			SlowSeconds:  slow.seconds,
 			TraceMIPS:    float64(trace.instr) / trace.seconds / 1e6,
-			BlockMIPS:    float64(block.instr) / block.seconds / 1e6,
 			SlowMIPS:     float64(slow.instr) / slow.seconds / 1e6,
 		}
 		if row.SlowMIPS > 0 {
-			row.BlockSpeedup = row.BlockMIPS / row.SlowMIPS
 			row.TraceSpeedup = row.TraceMIPS / row.SlowMIPS
 		}
-		if row.BlockMIPS > 0 {
-			row.TraceOverBlock = row.TraceMIPS / row.BlockMIPS
-		}
 		res.Rows = append(res.Rows, row)
-		if i == 0 || row.BlockSpeedup < res.MinBlockSpeedup {
-			res.MinBlockSpeedup = row.BlockSpeedup
-		}
 		if i == 0 || row.TraceSpeedup < res.MinTraceSpeedup {
 			res.MinTraceSpeedup = row.TraceSpeedup
-		}
-		if i == 0 || row.TraceOverBlock < res.MinTraceOverBlock {
-			res.MinTraceOverBlock = row.TraceOverBlock
 		}
 		amort.CompiledPages += trace.fp.TCCompiles
 		amort.Demotions += trace.fp.TCDemotions
 		amort.Recompiles += trace.fp.TCRecompiles
 		amort.DispatchEntries += trace.fp.TCEntries
 		amort.TraceOps += trace.fp.TCOps
-		savedSeconds += block.seconds - trace.seconds
+		savedSeconds += slow.seconds - trace.seconds
 		savedOps += trace.fp.TCOps
 	}
 	amort.CompileNsPerPage = hart.TraceCompileCost(256)
@@ -440,14 +416,23 @@ func RunHost(scaleDiv int) (HostResult, error) {
 	return res, nil
 }
 
+// obsMinPairs is the fewest interleaved off/armed slice pairs the
+// observability row times; whole lockstep runs repeat until it is met.
+const obsMinPairs = 128
+
 // RunObservabilityOverhead measures the observability plane's host-MIPS
-// tax: the same seeded aes run with the plane off and with the sampling
-// profiler armed at its default period (attribution and the flight
-// recorder ride along — they are on whenever a sink is). Three
-// interleaved pairs are timed and the fastest of each side kept, so the
-// <3% CheckHostRegression gate judges steady-state cost, not scheduler
-// noise. Bit-identity of cycle and instret fingerprints is checked here,
-// where the numbers are produced.
+// tax on the shipped trace engine: the same seeded aes guest on two
+// stacks, one with the plane off and one with the sampling profiler
+// armed at its default period (attribution, the dispatch-length histogram
+// and the flight recorder ride along — they are on whenever a sink is).
+// The two run in lockstep, one scheduler slice (the guest's run between
+// two timer exits) at a time, alternating which stack goes first. Because
+// arming is bit-identical, the two slices of a pair are the same
+// simulated work, a few milliseconds apart on the host, so host drift
+// cancels within the pair. The overhead is the median of the per-pair
+// overheads, which the <3% CheckHostRegression gate judges; min and max
+// record the spread. Bit-identity of the cycle and instret counts is
+// checked after every slice.
 func RunObservabilityOverhead(scaleDiv int) (ObsOverheadResult, error) {
 	if scaleDiv < 1 {
 		scaleDiv = 1
@@ -464,7 +449,7 @@ func RunObservabilityOverhead(scaleDiv int) (ObsOverheadResult, error) {
 	}
 	res := ObsOverheadResult{
 		Workload:      k.Name,
-		Engine:        hart.EngineBlock.String(),
+		Engine:        hart.EngineTrace.String(),
 		ProfilePeriod: telemetry.DefaultProfilePeriod,
 		BitIdentical:  true,
 	}
@@ -472,33 +457,82 @@ func RunObservabilityOverhead(scaleDiv int) (ObsOverheadResult, error) {
 	// arming (zionbench may be exporting a trace or profile of the run).
 	savedSink, savedEnvs := benchSink, telEnvs
 	defer func() { benchSink, telEnvs = savedSink, savedEnvs }()
-	var off, armed hostSample
-	for i := 0; i < 3; i++ {
+	var off, armed, overhead []float64
+	for len(overhead) < obsMinPairs {
 		SetTelemetry(nil)
-		o, err := runHostOnce(k, scale, hart.EngineBlock)
+		oe, ovm, err := bootHost(k, scale, hart.EngineTrace)
 		if err != nil {
 			return res, fmt.Errorf("off: %w", err)
 		}
 		SetTelemetry(telemetry.New(telemetry.Config{ProfilePeriod: telemetry.DefaultProfilePeriod}))
-		a, err := runHostOnce(k, scale, hart.EngineBlock)
+		ae, avm, err := bootHost(k, scale, hart.EngineTrace)
 		SetTelemetry(nil)
 		if err != nil {
 			return res, fmt.Errorf("armed: %w", err)
 		}
-		if a.cycles != o.cycles || a.instr != o.instr {
-			res.BitIdentical = false
-			return res, fmt.Errorf("armed run diverged: cycles %d vs %d, instret %d vs %d",
-				a.cycles, o.cycles, a.instr, o.instr)
-		}
-		if i == 0 || o.seconds < off.seconds {
-			off = o
-		}
-		if i == 0 || a.seconds < armed.seconds {
-			armed = a
+		for done := false; !done; {
+			var o, a obsSlice
+			if len(overhead)%2 == 0 {
+				o, a = runSlice(oe, ovm), runSlice(ae, avm)
+			} else {
+				a, o = runSlice(ae, avm), runSlice(oe, ovm)
+			}
+			if o.err != nil || a.err != nil {
+				return res, fmt.Errorf("slice: off %v, armed %v", o.err, a.err)
+			}
+			if oe.H.Cycles != ae.H.Cycles || oe.H.Instret != ae.H.Instret || o.done != a.done {
+				res.BitIdentical = false
+				return res, fmt.Errorf("armed run diverged: cycles %d vs %d, instret %d vs %d",
+					ae.H.Cycles, oe.H.Cycles, ae.H.Instret, oe.H.Instret)
+			}
+			om := float64(o.instr) / o.seconds / 1e6
+			am := float64(a.instr) / a.seconds / 1e6
+			off = append(off, om)
+			armed = append(armed, am)
+			overhead = append(overhead, -pct(om, am))
+			done = o.done
 		}
 	}
-	res.OffMIPS = float64(off.instr) / off.seconds / 1e6
-	res.ArmedMIPS = float64(armed.instr) / armed.seconds / 1e6
-	res.OverheadPct = pct(res.OffMIPS, res.ArmedMIPS) * -1
+	res.Pairs = len(overhead)
+	res.OffMIPS, res.OffMinMIPS, res.OffMaxMIPS = medianSpread(off)
+	res.ArmedMIPS, res.ArmedMinMIPS, res.ArmedMaxMIPS = medianSpread(armed)
+	res.OverheadPct, res.OverheadMinPct, res.OverheadMaxPct = medianSpread(overhead)
 	return res, nil
+}
+
+// obsSlice is one timed scheduler slice of a lockstep observability run.
+type obsSlice struct {
+	instr   uint64
+	seconds float64
+	done    bool // the guest shut down
+	err     error
+}
+
+// runSlice runs the CVM until its next exit: a timer exit ends a slice,
+// shutdown ends the run.
+func runSlice(e *Env, vm *hv.VM) obsSlice {
+	i0 := e.H.Instret
+	t0 := time.Now()
+	info, err := e.HV.RunCVM(e.H, vm, 0)
+	s := obsSlice{instr: e.H.Instret - i0, seconds: time.Since(t0).Seconds(), err: err}
+	switch {
+	case err != nil:
+	case info.Reason == sm.ExitShutdown:
+		s.done = true
+	case info.Reason != sm.ExitTimer:
+		s.err = fmt.Errorf("unexpected exit %v", info.Reason)
+	}
+	return s
+}
+
+// medianSpread returns the median, minimum and maximum of xs, sorting xs
+// in place.
+func medianSpread(xs []float64) (med, lo, hi float64) {
+	sort.Float64s(xs)
+	n := len(xs)
+	med = xs[n/2]
+	if n%2 == 0 {
+		med = (xs[n/2-1] + xs[n/2]) / 2
+	}
+	return med, xs[0], xs[n-1]
 }

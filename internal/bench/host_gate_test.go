@@ -106,3 +106,40 @@ func TestGateFreeModeExemptions(t *testing.T) {
 		t.Error("non-deterministic block-mode run passed the gate")
 	}
 }
+
+// TestObservabilityGate: the observability row is judged on its recorded
+// median overhead against the 3% budget, and bit-identity is mandatory.
+func TestObservabilityGate(t *testing.T) {
+	base := gateBaseline()
+	cur := gateBaseline()
+	cur.Observability = &ObsOverheadResult{Pairs: obsMinPairs, OverheadPct: 2.9, OverheadMaxPct: 12, BitIdentical: true}
+	if err := CheckHostRegression(base, cur); err != nil {
+		t.Errorf("median overhead inside the budget rejected: %v", err)
+	}
+	cur.Observability.OverheadPct = 3.1
+	if err := CheckHostRegression(base, cur); err == nil || !strings.Contains(err.Error(), "3% budget") {
+		t.Errorf("median overhead over the budget not rejected: %v", err)
+	}
+	cur.Observability.OverheadPct = 0
+	cur.Observability.BitIdentical = false
+	if err := CheckHostRegression(base, cur); err == nil {
+		t.Error("armed run that diverged passed the gate")
+	}
+}
+
+// medianSpread takes the middle sample (mean of the middle two for an
+// even count) and the extremes.
+func TestMedianSpread(t *testing.T) {
+	for _, c := range []struct {
+		in          []float64
+		med, lo, hi float64
+	}{
+		{[]float64{5, 1, 3}, 3, 1, 5},
+		{[]float64{4, 1, 3, 2}, 2.5, 1, 4},
+		{[]float64{7}, 7, 7, 7},
+	} {
+		if med, lo, hi := medianSpread(c.in); med != c.med || lo != c.lo || hi != c.hi {
+			t.Errorf("medianSpread = %v %v %v, want %v %v %v", med, lo, hi, c.med, c.lo, c.hi)
+		}
+	}
+}

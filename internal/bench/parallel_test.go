@@ -61,11 +61,10 @@ func TestLockstepPaperWorkloads(t *testing.T) {
 
 // TestParallelQuadEngineBitIdentity closes the engine/scheduling matrix:
 // the same two-hart quantum-barrier run must produce bit-identical
-// per-hart fingerprints under the compiled-trace tier, the superblock
-// engine, and the slow reference interpreter. Together with runBothWays
-// (sequential tri-engine) and TestQuadEngineLockstepPaperWorkloads (all
-// nine tables), this pins every cell of the slow/block/trace ×
-// sequential/parallel grid.
+// per-hart fingerprints under the compiled-trace tier and the slow
+// reference interpreter. Together with runBothWays (sequential) and
+// TestQuadEngineLockstepPaperWorkloads (all nine tables), this pins every
+// cell of the slow/trace × sequential/parallel grid.
 func TestParallelQuadEngineBitIdentity(t *testing.T) {
 	k := lockstepKernels()[0] // aes
 	cfg := platform.EngineConfig{Quantum: 4096}
@@ -89,7 +88,7 @@ func TestParallelQuadEngineBitIdentity(t *testing.T) {
 	}
 }
 
-// TestQuadEngineLockstepPaperWorkloads proves bit-identity of all three
+// TestQuadEngineLockstepPaperWorkloads proves bit-identity of both
 // execution tiers on every paper-table workload: the eight rv8 kernels
 // plus CoreMark, each run to completion under each engine, comparing the
 // full per-hart fingerprint (cycles, instret, trap mix, TLB/PMP/PTW

@@ -166,7 +166,7 @@ func TestTelemetryOffBitIdentical(t *testing.T) {
 }
 
 // TestProfilerArmedEngineBitIdentity: the sampling profiler must not
-// perturb any of the three engines — cycle and instret fingerprints with
+// perturb either engine — cycle and instret fingerprints with
 // sampling armed are identical to the unarmed run, per engine.
 func TestProfilerArmedEngineBitIdentity(t *testing.T) {
 	var k workloads.Kernel

@@ -86,8 +86,8 @@ func runBlkMQOnce(t *testing.T, eng hart.Engine) (cycles, instret uint64, blk *v
 	return h.Cycles, h.Instret, blk
 }
 
-// TestCVMBlkMQLockstep drives the two-queue interpreted driver under all
-// three execution tiers and demands a bit-identical simulation
+// TestCVMBlkMQLockstep drives the two-queue interpreted driver under both
+// execution tiers and demands a bit-identical simulation
 // fingerprint — the MQ data path must not perturb engine equivalence.
 func TestCVMBlkMQLockstep(t *testing.T) {
 	var refCycles, refInstret uint64

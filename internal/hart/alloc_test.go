@@ -7,17 +7,21 @@ import (
 	"zion/internal/isa"
 )
 
-// The superblock dispatch loop is the hottest code in the simulator: once
-// the decoded page and micro-TLB entries are warm, driving RunBatch over
-// straight-line code must not allocate at all. A single allocation per
-// block would dominate the event-horizon win the engine exists for.
+// RunBatch's superblock loop — boundary checks, horizon arithmetic, trace
+// dispatch, and the execute() retire of whatever the trace stops at — is
+// the hottest code in the simulator: once the decoded page and micro-TLB
+// entries are warm, driving it over straight-line code must not allocate
+// at all. A single allocation per superblock would dominate the
+// event-horizon win the engine exists for.
 func TestRunBatchSuperblockZeroAllocs(t *testing.T) {
 	h := newHart(t)
-	h.SetEngine(EngineBlock)
+	h.SetEngine(EngineTrace)
 
-	// An infinite loop of straight-line ALU and memory work: long blocks
+	// An infinite loop of straight-line ALU and memory work: long runs
 	// separated by one JAL boundary, no traps (TrapCount is a map and its
 	// growth would show up as allocations — correctly — so keep it out).
+	// Every tenth op is an AMO, which compiles to an empty trace slot, so
+	// the loop keeps stopping the trace and retiring through execute().
 	p := asm.New(ramBase)
 	p.LIU(20, ramBase+dataOff)
 	p.LI(5, 1)
@@ -28,17 +32,21 @@ func TestRunBatchSuperblockZeroAllocs(t *testing.T) {
 		p.SD(6, 20, 0)
 		p.LD(8, 20, 0)
 		p.MUL(9, 8, 5)
+		if i%2 == 1 {
+			p.AMOADDD(10, 20, 5)
+		}
 	}
 	p.J("top")
 	load(t, h, ramBase, p)
 
-	// Warm up: decode the page, build its superblock metadata, and fill
-	// the fetch/read/write micro-TLB entries.
+	// Warm up: decode and compile the page, and fill the fetch/read/write
+	// micro-TLB entries.
 	if n, _, _ := h.RunBatch(0, false, 20000); n == 0 {
 		t.Fatal("warm-up batch made no progress")
 	}
-	if st := h.FastPathStats(); st.SBHits == 0 || st.SBBuilds == 0 {
-		t.Fatalf("superblock engine not engaged: %+v", st)
+	st := h.FastPathStats()
+	if st.BlockBuilds == 0 || st.TCOps <= st.TCEntries || st.FetchHits <= st.TCOps {
+		t.Fatalf("superblock dispatch not engaged (trace runs and execute() retires): %+v", st)
 	}
 
 	allocs := testing.AllocsPerRun(50, func() {

@@ -9,8 +9,8 @@ import (
 // the hart's current mode and returns the resulting event: EvNone for a
 // retired instruction, EvTrap when a trap entry occurred (including
 // interrupts detected before the fetch), and EvWFI when the hart idles.
-// Every engine retires through the same execute(), so the block and trace
-// tiers are accelerators of exactly this function.
+// The trace tier retires through the same opcode table and execute(), so
+// it is an accelerator of exactly this function.
 func (h *Hart) Step() Event {
 	// Interrupts are sampled at instruction boundaries.
 	if cause, ok := h.PendingInterrupt(); ok {
@@ -29,14 +29,13 @@ func (h *Hart) Step() Event {
 }
 
 // RunBatch executes up to max Step-equivalents back-to-back on the hart's
-// engine (block or trace; the slow engine declines at once). Boundary
-// semantics are identical to the per-step run loops: the timer comparator
-// is checked against h.Cycles, MTIP is cleared while the timer has not
-// fired (mirroring tickTimer's else branch), and pending
-// interrupts are sampled — but the superblock engine performs those
-// checks once per straight-line run instead of once per instruction,
-// under an event-horizon proof (superblock.go) that no check inside the
-// run could have fired. A fired timer ends the batch so the caller can
+// trace engine (the slow engine declines at once). Boundary semantics are
+// identical to the per-step run loops: the timer comparator is checked
+// against h.Cycles, MTIP is cleared while the timer has not fired
+// (mirroring tickTimer's else branch), and pending interrupts are sampled
+// — but a compiled trace performs those checks once per straight-line run
+// instead of once per instruction, under an event-horizon proof
+// (superblock.go) that no check inside the run could have fired. A fired timer ends the batch so the caller can
 // refresh MTIP and take the interrupt through its normal per-step path.
 //
 // Returns the number of Step-equivalents performed and, when ok is true,
@@ -64,7 +63,7 @@ func (h *Hart) RunBatch(deadline uint64, armed bool, max uint64) (uint64, Event,
 }
 
 // execute retires one decoded instruction: the shared back half of Step
-// and of the superblock loop. Ops in the opcode table (optable.go) retire
+// and of RunBatch. Ops in the opcode table (optable.go) retire
 // through their row; the switch below owns everything that can trap or
 // touch memory, CSRs or privilege state.
 func (h *Hart) execute(in isa.Inst) Event {

@@ -41,26 +41,25 @@ type mtlbEntry struct {
 	dp *decodedPage
 }
 
-// decodedPage holds the eager decode of one physical page. live flips to
-// false when the underlying bytes change; every fetch revalidates it, so
-// self-modifying code observes its own stores exactly like the slow path
-// (which re-fetches every instruction). live is atomic because under the
-// parallel engine the invalidating store may come from a peer hart's
+// decodedPage holds the eager decode of one physical page and everything
+// derived from it, all built in one pass by decodePageLocked. live flips
+// to false when the underlying bytes change; every fetch revalidates it,
+// so self-modifying code observes its own stores exactly like the slow
+// path (which re-fetches every instruction). live is atomic because under
+// the parallel engine the invalidating store may come from a peer hart's
 // goroutine (mem watcher dispatch); the decode cache is semantically
 // transparent, so a cross-hart invalidation landing mid-quantum changes
-// only host-side cache effectiveness, never simulated results.
+// only host-side cache effectiveness, never simulated results. The other
+// fields are immutable once the page is published.
 type decodedPage struct {
 	live  atomic.Bool
 	insts [isa.PageSize / 4]isa.Inst
 
-	// Superblock metadata, built lazily by buildSuperblocks on the owning
-	// hart's goroutine (sbReady is atomic only so InvalidateCodePage can
-	// read it from a peer goroutine for the invalidation counter; the
-	// arrays themselves are owner-only). For each slot i:
+	// Superblock metadata (superblock.go). For each slot i:
 	//
 	//	sbLen[i]   — number of instructions in the straight-line run
 	//	             starting at i, up to and including the next
-	//	             block-terminating boundary (control transfer that
+	//	             run-terminating boundary (control transfer that
 	//	             always leaves the line, CSR access, privileged op,
 	//	             invalid encoding) or the end of the page.
 	//	sbWorst[i] — worst-case simulated cycles of that run excluding
@@ -69,21 +68,15 @@ type decodedPage struct {
 	//	             check a per-step engine would have performed.
 	//
 	// Conditional branches are NOT boundaries: they stay mid-line and the
-	// dispatch loop detects a taken branch as a side exit (PC left the
-	// straight line), so blocks survive the not-taken common case.
-	sbReady atomic.Bool
+	// trace detects a taken branch as a side exit (PC left the straight
+	// line), so runs survive the not-taken common case.
 	sbLen   [isa.PageSize / 4]uint16
 	sbWorst [isa.PageSize / 4]uint64
 
-	// Trace-compilation metadata (trace.go), built lazily by compileTraces
-	// on the owning hart's goroutine the first time the superblock loop
-	// enters the page on the trace engine. tcOps is published before
-	// tcReady flips (atomic release/acquire), so a peer goroutine reading
-	// it for the invalidation counters always sees a complete table. A
-	// demoted page (invalidation history says compiling would thrash) is
-	// tcReady with a nil table.
-	tcReady atomic.Bool
-	tcOps   *[tracePageSlots]traceOp
+	// tcOps is the compiled trace table (trace.go); nil when the page was
+	// demoted because its invalidation history says compiling would
+	// thrash. A demoted page retires every instruction through execute().
+	tcOps *[tracePageSlots]traceOp
 }
 
 // FastPathStats counts engine effectiveness; exported as fp/* telemetry
@@ -98,26 +91,22 @@ type FastPathStats struct {
 	WriteMisses uint64
 	Fills       uint64 // micro-TLB fill attempts
 	FillFails   uint64 // fills declined (TLB miss, PMP, MMIO, ...)
-	BlockBuilds uint64 // pages decoded into the block cache
+	BlockBuilds uint64 // pages decoded (superblock metadata and trace table included)
 	BlockInvals uint64 // decoded pages dropped after a write hit them
 
-	// Superblock engine (superblock.go).
-	SBHits         uint64 // multi-instruction superblock entries dispatched
-	SBBuilds       uint64 // pages whose superblock metadata was computed
-	SBInvals       uint64 // superblock-carrying pages invalidated by stores
-	HorizonCutoffs uint64 // block entries degraded to single-step because the worst-case cycle bound crossed the event horizon
+	HorizonCutoffs uint64 // superblock entries degraded to single-step because the worst-case cycle bound crossed the event horizon
 
-	// Trace-compilation tier (trace.go).
+	// Trace compilation and dispatch (trace.go).
 	TCCompiles   uint64 // pages compiled into pre-bound trace tables
 	TCRecompiles uint64 // compiles of a page that had been invalidated before
-	TCDemotions  uint64 // compile attempts demoted by invalidation history
+	TCDemotions  uint64 // decodes left uncompiled by invalidation history
 	TCEntries    uint64 // trace dispatch entries (one generation snapshot each)
 	TCOps        uint64 // instructions retired by pre-bound handlers
-	TCBailouts   uint64 // dispatches aborted back to the generic loop mid-trace
+	TCBailouts   uint64 // memory handlers that aborted, leaving their instruction to execute()
 	TCInvals     uint64 // compiled trace tables dropped by store invalidation
 }
 
-// fastPath is the state the block and trace engines run on: three
+// fastPath is the state the trace engine runs on: three
 // direct-mapped micro-TLBs (fetch/read/write) plus a decoded-instruction
 // cache keyed by physical page. It never produces a result the slow path
 // wouldn't: every cacheable case replays the exact counter mutations (TLB
@@ -143,8 +132,10 @@ type fastPath struct {
 	stats     FastPathStats
 
 	// Trace-dispatch scratch: the generation snapshot taken once per trace
-	// entry (see trace.go for the soundness argument) plus the PC of the
-	// op being dispatched, for the profiler hook. Owner-goroutine only.
+	// entry (see trace.go for the soundness argument), plus the PC of the
+	// op being dispatched and the cycle of the next profiler sample
+	// (MaxUint64 when the profiler is off), for the profiler hook.
+	// Owner-goroutine only.
 	tcMode   isa.PrivMode
 	tcTLBGen uint64
 	tcPMPGen uint64
@@ -152,18 +143,17 @@ type fastPath struct {
 	tcBare   bool
 	tcTidx   int
 	tcPC     uint64
+	tcNext   uint64
 
-	// Optional per-tier dispatch-length histograms (SetDispatchHists):
-	// instructions retired per superblock entry by the generic loop and by
-	// the compiled trace. Nil when the observability plane is dark. The
-	// dispatch loop records into the plain single-writer locals — an armed
-	// observation is a few non-atomic increments — and FlushDispatchHists
-	// drains them into the shared atomic histograms; per-observation CAS
-	// traffic on the hot loop would blow the plane's 3% overhead budget.
-	sbHist *telemetry.Histogram
-	tcHist *telemetry.Histogram
-	sbLen  telemetry.LocalHist
-	tcLen  telemetry.LocalHist
+	// Optional dispatch-length histogram (SetDispatchHist): instructions
+	// retired per trace entry. Nil when the observability plane is dark.
+	// The dispatch loop records into the plain single-writer local — an
+	// armed observation is a few non-atomic increments — and
+	// FlushDispatchHist drains it into the shared atomic histogram;
+	// per-observation CAS traffic on the hot loop would blow the plane's
+	// 3% overhead budget.
+	hist *telemetry.Histogram
+	lens telemetry.LocalHist
 }
 
 const blacklistThreshold = 16
@@ -179,46 +169,39 @@ func newFastPath(h *Hart) *fastPath {
 	return e
 }
 
-// Engine selects a hart's execution tier. Every tier retires through the
-// same execute() and opcode table, and every simulated cycle count,
-// TLB/PMP/PTW statistic and trap is bit-identical across them
-// (docs/PERF.md explains why); they differ only in host speed.
+// Engine selects a hart's execution tier. Both tiers retire through the
+// same opcode table, and every simulated cycle count, TLB/PMP/PTW
+// statistic and trap is bit-identical across them (docs/PERF.md explains
+// why); they differ only in host speed.
 type Engine uint8
 
 const (
 	// EngineTrace dispatches superblocks through compiled trace tables
-	// (trace.go). The zero value and the default.
+	// (trace.go, superblock.go). The zero value and the default.
 	EngineTrace Engine = iota
-	// EngineBlock dispatches superblocks through the generic execute()
-	// loop (superblock.go).
-	EngineBlock
 	// EngineSlow is the reference interpreter alone: RunBatch declines
 	// and callers fall back to Step.
 	EngineSlow
 )
 
 // Engines lists every tier, fastest first — the lockstep test matrix.
-func Engines() []Engine { return []Engine{EngineTrace, EngineBlock, EngineSlow} }
+func Engines() []Engine { return []Engine{EngineTrace, EngineSlow} }
 
 // String names the engine the way the bench JSON records it.
 func (e Engine) String() string {
 	switch e {
 	case EngineTrace:
 		return "trace"
-	case EngineBlock:
-		return "block"
 	case EngineSlow:
 		return "slow"
 	}
 	return "?"
 }
 
-// SetEngine selects the hart's execution tier. Leaving the block and
-// trace tiers drops their caches and code-page registrations, so the
-// memory no longer pays write-notification costs; entering them attaches
-// fresh ones.
+// SetEngine selects the hart's execution tier. Leaving the trace tier
+// drops its caches and code-page registrations, so the memory no longer
+// pays write-notification costs; entering it attaches fresh ones.
 func (h *Hart) SetEngine(e Engine) {
-	h.engine = e
 	if e != EngineSlow {
 		if h.fp == nil {
 			h.fp = newFastPath(h)
@@ -239,7 +222,12 @@ func (h *Hart) SetEngine(e Engine) {
 }
 
 // Engine reports the hart's execution tier.
-func (h *Hart) Engine() Engine { return h.engine }
+func (h *Hart) Engine() Engine {
+	if h.fp == nil {
+		return EngineSlow
+	}
+	return EngineTrace
+}
 
 // FastPathStats returns the engine counters (zero value when disabled).
 func (h *Hart) FastPathStats() FastPathStats {
@@ -265,10 +253,7 @@ func (e *fastPath) InvalidateCodePage(paPage uint64) {
 	delete(e.pages, paPage)
 	e.mem.UnregisterCodePage(paPage)
 	e.stats.BlockInvals++
-	if dp.sbReady.Load() {
-		e.stats.SBInvals++
-	}
-	if dp.tcReady.Load() && dp.tcOps != nil {
+	if dp.tcOps != nil {
 		e.stats.TCInvals++
 	}
 	if c := e.invCount[paPage] + 1; c >= blacklistThreshold {
@@ -392,15 +377,44 @@ func (e *fastPath) hitAccounting(h *Hart, ent *mtlbEntry) {
 }
 
 // decodePageLocked builds (or returns) the decoded block for a physical
-// page and registers it for write-invalidation. Caller holds e.mu.
-func (e *fastPath) decodePageLocked(paPage uint64, page []byte) *decodedPage {
+// page and registers it for write-invalidation. One backward pass decodes
+// every slot, derives its superblock run length and worst-case cycle
+// bound, and compiles its trace op — unless the page's invalidation
+// history demotes it (tcDemoteThreshold), in which case it gets no trace
+// table. The cost table is captured here; it is set once at hart
+// construction and never mutated mid-run. Caller holds e.mu.
+func (e *fastPath) decodePageLocked(h *Hart, paPage uint64, page []byte) *decodedPage {
 	if dp, ok := e.pages[paPage]; ok {
 		return dp
 	}
 	dp := &decodedPage{}
 	dp.live.Store(true)
-	for i := range dp.insts {
-		dp.insts[i] = isa.Decode(binary.LittleEndian.Uint32(page[i*4:]))
+	if inv := e.invCount[paPage]; inv >= tcDemoteThreshold {
+		e.stats.TCDemotions++
+	} else {
+		dp.tcOps = new([tracePageSlots]traceOp)
+		e.stats.TCCompiles++
+		if inv > 0 {
+			e.stats.TCRecompiles++
+		}
+	}
+	c := h.Cost
+	last := len(dp.insts) - 1
+	for i := last; i >= 0; i-- {
+		in := &dp.insts[i]
+		*in = isa.Decode(binary.LittleEndian.Uint32(page[i*4:]))
+		if dp.tcOps != nil {
+			compileTraceOp(c, in, &dp.tcOps[i])
+		}
+		if i == last || sbBoundary(in.Op) {
+			dp.sbLen[i] = 1
+			continue
+		}
+		dp.sbLen[i] = dp.sbLen[i+1] + 1
+		// sbWorst excludes the run's final instruction: checks happen
+		// before each instruction, so the last one's cycles land after
+		// every hoisted check already passed.
+		dp.sbWorst[i] = sbWorstCycles(c, in) + dp.sbWorst[i+1]
 	}
 	e.pages[paPage] = dp
 	e.mem.RegisterCodePage(paPage)

@@ -38,38 +38,34 @@ func TestFastPathSMCInvalidation(t *testing.T) {
 	p.ADDI(6, 0, 1)
 	p.ECALL()
 
-	for _, eng := range batchEngines {
-		h := newHart(t)
-		h.SetEngine(eng)
-		load(t, h, ramBase, p)
-		ev := runBatched(t, h, 100)
-		if ev.Kind != EvTrap || ev.Trap.Cause != isa.ExcEcallM {
-			t.Fatalf("%v: unexpected end event: %+v", eng, ev)
-		}
-		if got := h.Reg(6); got != 2 {
-			t.Fatalf("%v: x6 = %d, want 2 (patched instruction must execute)", eng, got)
-		}
-		st := h.FastPathStats()
-		if st.BlockInvals == 0 {
-			t.Fatalf("%v: no decoded-block invalidation recorded: %+v", eng, st)
-		}
-		if st.BlockBuilds < 2 {
-			t.Fatalf("%v: page was not re-decoded after the store: %+v", eng, st)
-		}
+	h := newHart(t)
+	load(t, h, ramBase, p)
+	ev := runBatched(t, h, 100)
+	if ev.Kind != EvTrap || ev.Trap.Cause != isa.ExcEcallM {
+		t.Fatalf("unexpected end event: %+v", ev)
+	}
+	if got := h.Reg(6); got != 2 {
+		t.Fatalf("x6 = %d, want 2 (patched instruction must execute)", got)
+	}
+	st := h.FastPathStats()
+	if st.BlockInvals == 0 {
+		t.Fatalf("no decoded-block invalidation recorded: %+v", st)
+	}
+	if st.BlockBuilds < 2 {
+		t.Fatalf("page was not re-decoded after the store: %+v", st)
 	}
 }
 
 // Each epoch source must force a refill on the next access: micro-TLB
 // entries survive only while every generation they captured is current.
 func TestFastPathEpochInvalidation(t *testing.T) {
-	newRunning := func(t *testing.T, eng Engine) *Hart {
+	newRunning := func(t *testing.T) *Hart {
 		p := asm.New(ramBase)
 		for i := 0; i < 64; i++ {
 			p.ADDI(5, 5, 1)
 		}
 		p.ECALL()
 		h := newHart(t)
-		h.SetEngine(eng)
 		load(t, h, ramBase, p)
 		batchN(t, h, 4) // warm: entry filled, hits flowing
 		return h
@@ -94,18 +90,16 @@ func TestFastPathEpochInvalidation(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			for _, eng := range batchEngines {
-				h := newRunning(t, eng)
-				before := h.FastPathStats().Fills
-				batchN(t, h, 2)
-				if f := h.FastPathStats().Fills; f != before {
-					t.Fatalf("%v: steady state refilled without cause: %d -> %d", eng, before, f)
-				}
-				c.bump(h)
-				batchN(t, h, 2)
-				if f := h.FastPathStats().Fills; f == before {
-					t.Fatalf("%v: %s did not invalidate the fetch entry", eng, c.name)
-				}
+			h := newRunning(t)
+			before := h.FastPathStats().Fills
+			batchN(t, h, 2)
+			if f := h.FastPathStats().Fills; f != before {
+				t.Fatalf("steady state refilled without cause: %d -> %d", before, f)
+			}
+			c.bump(h)
+			batchN(t, h, 2)
+			if f := h.FastPathStats().Fills; f == before {
+				t.Fatalf("%s did not invalidate the fetch entry", c.name)
 			}
 		})
 	}
@@ -127,21 +121,18 @@ func TestFastPathBlacklist(t *testing.T) {
 	p.BNE(5, 0, "loop")
 	p.ECALL()
 
-	for _, eng := range batchEngines {
-		h := newHart(t)
-		h.SetEngine(eng)
-		load(t, h, ramBase, p)
-		ev := runBatched(t, h, 10000)
-		if ev.Kind != EvTrap || ev.Trap.Cause != isa.ExcEcallM {
-			t.Fatalf("%v: unexpected end event: %+v", eng, ev)
-		}
-		if !h.fp.blacklist[ramBase] {
-			t.Fatalf("%v: page %#x not blacklisted after %d invalidations (stats %+v)",
-				eng, uint64(ramBase), blacklistThreshold+4, h.FastPathStats())
-		}
-		if h.fp.stats.BlockInvals < blacklistThreshold {
-			t.Fatalf("%v: expected >=%d invalidations, got %+v", eng, blacklistThreshold, h.fp.stats)
-		}
+	h := newHart(t)
+	load(t, h, ramBase, p)
+	ev := runBatched(t, h, 10000)
+	if ev.Kind != EvTrap || ev.Trap.Cause != isa.ExcEcallM {
+		t.Fatalf("unexpected end event: %+v", ev)
+	}
+	if !h.fp.blacklist[ramBase] {
+		t.Fatalf("page %#x not blacklisted after %d invalidations (stats %+v)",
+			uint64(ramBase), blacklistThreshold+4, h.FastPathStats())
+	}
+	if h.fp.stats.BlockInvals < blacklistThreshold {
+		t.Fatalf("expected >=%d invalidations, got %+v", blacklistThreshold, h.fp.stats)
 	}
 }
 
@@ -184,14 +175,12 @@ func TestFastPathAccessAccounting(t *testing.T) {
 		p.LD(7, 5, int64(i*8))
 	}
 	p.ECALL()
-	for _, eng := range batchEngines {
-		fast, slow, fc, sc := newBatchPair(t, eng)
-		load(t, fast, ramBase, p)
-		load(t, slow, ramBase, p)
-		batchLockstep(t, "accounting/"+eng.String(), 0, fast, slow, fc, sc, isa.ExcEcallM, 0)
-		st := fast.FastPathStats()
-		if st.ReadHits == 0 || st.WriteHits == 0 {
-			t.Fatalf("%v: data micro-TLB never hit: %+v", eng, st)
-		}
+	fast, slow, fc, sc := newBatchPair(t)
+	load(t, fast, ramBase, p)
+	load(t, slow, ramBase, p)
+	batchLockstep(t, "accounting", 0, fast, slow, fc, sc, isa.ExcEcallM, 0)
+	st := fast.FastPathStats()
+	if st.ReadHits == 0 || st.WriteHits == 0 {
+		t.Fatalf("data micro-TLB never hit: %+v", st)
 	}
 }

@@ -268,12 +268,10 @@ func TestLockstepFuzzMachineMode(t *testing.T) {
 		}
 		p.ECALL()
 
-		for _, eng := range batchEngines {
-			fast, slow, fc, sc := newBatchPair(t, eng)
-			load(t, fast, ramBase, p)
-			load(t, slow, ramBase, p)
-			batchLockstep(t, "M/"+eng.String(), pi, fast, slow, fc, sc, isa.ExcEcallM, 0)
-		}
+		fast, slow, fc, sc := newBatchPair(t)
+		load(t, fast, ramBase, p)
+		load(t, slow, ramBase, p)
+		batchLockstep(t, "M", pi, fast, slow, fc, sc, isa.ExcEcallM, 0)
 	}
 }
 
@@ -328,54 +326,49 @@ func TestLockstepFuzzSupervisorSv39(t *testing.T) {
 		})
 		p.ECALL()
 
-		for _, eng := range batchEngines {
-			fast, slow, fc, sc := newBatchPair(t, eng)
-			for _, h := range []*Hart{fast, slow} {
-				load(t, h, ramBase, p)
-				openPMP(t, h)
-				root := buildRoot(h)
-				sv39 := uint64(isa.SatpModeSv39)<<isa.SatpModeShift | root>>isa.PageShift
-				h.SetCSR(isa.CSRSatp, sv39)
-				h.SetReg(21, 0)
-				h.SetReg(22, 0) // Bare
-				h.SetReg(23, sv39)
-				// Drop to S-mode at the program start.
-				h.SetCSR(isa.CSRMstatus,
-					h.CSR(isa.CSRMstatus)&^isa.MstatusMPP|uint64(1)<<isa.MstatusMPPShift)
-				h.SetCSR(isa.CSRMepc, ramBase)
-				h.MRet()
-			}
-			batchLockstep(t, "S/"+eng.String(), pi, fast, slow, fc, sc, isa.ExcEcallS, 0)
+		fast, slow, fc, sc := newBatchPair(t)
+		for _, h := range []*Hart{fast, slow} {
+			load(t, h, ramBase, p)
+			openPMP(t, h)
+			root := buildRoot(h)
+			sv39 := uint64(isa.SatpModeSv39)<<isa.SatpModeShift | root>>isa.PageShift
+			h.SetCSR(isa.CSRSatp, sv39)
+			h.SetReg(21, 0)
+			h.SetReg(22, 0) // Bare
+			h.SetReg(23, sv39)
+			// Drop to S-mode at the program start.
+			h.SetCSR(isa.CSRMstatus,
+				h.CSR(isa.CSRMstatus)&^isa.MstatusMPP|uint64(1)<<isa.MstatusMPPShift)
+			h.SetCSR(isa.CSRMepc, ramBase)
+			h.MRet()
 		}
+		batchLockstep(t, "S", pi, fast, slow, fc, sc, isa.ExcEcallS, 0)
 	}
 }
 
 // TestLockstepFastPathNotVacuous makes sure the fuzz configurations above
-// actually exercise the engines: a representative M-mode program must
-// produce decoded-page fetch hits on both, and trace-retired ops on the
-// trace engine.
+// actually exercise the trace engine: a representative M-mode program
+// must produce decoded-page fetch hits and trace-retired ops.
 func TestLockstepFastPathNotVacuous(t *testing.T) {
 	p := asm.New(ramBase)
 	for i := 0; i < 100; i++ {
 		p.ADDI(5, 5, 1)
 	}
 	p.ECALL()
-	for _, eng := range batchEngines {
-		fast, slow, fc, sc := newBatchPair(t, eng)
-		load(t, fast, ramBase, p)
-		load(t, slow, ramBase, p)
-		batchLockstep(t, "sanity/"+eng.String(), 0, fast, slow, fc, sc, isa.ExcEcallM, 0)
-		st := fast.FastPathStats()
-		if st.FetchHits == 0 {
-			t.Fatalf("%v engine never hit a decoded page: %+v", eng, st)
-		}
-		if eng == EngineTrace && st.TCOps == 0 {
-			t.Fatalf("trace engine retired no trace ops: %+v", st)
-		}
+	fast, slow, fc, sc := newBatchPair(t)
+	load(t, fast, ramBase, p)
+	load(t, slow, ramBase, p)
+	batchLockstep(t, "sanity", 0, fast, slow, fc, sc, isa.ExcEcallM, 0)
+	st := fast.FastPathStats()
+	if st.FetchHits == 0 {
+		t.Fatalf("trace engine never hit a decoded page: %+v", st)
+	}
+	if st.TCOps == 0 {
+		t.Fatalf("trace engine retired no trace ops: %+v", st)
 	}
 }
 
-// --- Batch lockstep: superblocks vs per-step under async events ----------
+// --- Batch lockstep: trace dispatch vs per-step under async events -------
 //
 // RunBatch may hoist the timer and interrupt checks over a whole
 // straight-line run, and the result must still be bit-identical to
@@ -567,12 +560,11 @@ func batchLockstep(t *testing.T, tag string, pi int, fast, slow *Hart, fc, sc *f
 	t.Fatalf("%s program %d: no terminating ecall after %d steps (pc=%#x)", tag, pi, maxSteps, fast.PC)
 }
 
-// newBatchPair returns a hart on engine eng and a slow reference hart over
+// newBatchPair returns a trace-engine hart and a slow reference hart over
 // independent but identical memories, wired to independent fakeCLINTs.
-func newBatchPair(t *testing.T, eng Engine) (*Hart, *Hart, *fakeCLINT, *fakeCLINT) {
+func newBatchPair(t *testing.T) (*Hart, *Hart, *fakeCLINT, *fakeCLINT) {
 	t.Helper()
 	fast, slow := newHart(t), newHart(t)
-	fast.SetEngine(eng)
 	slow.SetEngine(EngineSlow)
 	fc, sc := &fakeCLINT{h: fast}, &fakeCLINT{h: slow}
 	fast.Bus, slow.Bus = fc, sc
@@ -624,19 +616,17 @@ func genBatchProgram(t *testing.T, rng *rand.Rand) *asm.Program {
 // into the currently executing block, batch against per-step.
 func TestLockstepFuzzBatchAsync(t *testing.T) {
 	rng := rand.New(rand.NewSource(0xB10C_F00D))
-	var irqs, cutoffs, hits, tcops, tcbail uint64
+	var irqs, cutoffs, entries, tcops, tcbail uint64
 	for pi := 0; pi < 25; pi++ {
 		p := genBatchProgram(t, rng)
-		// Alternate the engine per program so the same fuzz corpus pins
-		// both the trace dispatch and the plain generic loop.
-		fast, slow, fc, sc := newBatchPair(t, batchEngines[pi%2])
+		fast, slow, fc, sc := newBatchPair(t)
 		load(t, fast, ramBase, p)
 		load(t, slow, ramBase, p)
 		batchLockstep(t, "batch", pi, fast, slow, fc, sc, isa.ExcEcallM, 0)
 		irqs += fast.Reg(27)
 		st := fast.FastPathStats()
 		cutoffs += st.HorizonCutoffs
-		hits += st.SBHits
+		entries += st.TCEntries
 		tcops += st.TCOps
 		tcbail += st.TCBailouts
 	}
@@ -644,31 +634,29 @@ func TestLockstepFuzzBatchAsync(t *testing.T) {
 	if irqs == 0 {
 		t.Fatal("no interrupts were ever delivered")
 	}
-	if hits == 0 {
-		t.Fatal("no superblock was ever dispatched")
-	}
 	if cutoffs == 0 {
 		t.Fatal("no horizon cutoff was ever taken")
 	}
 	if tcops == 0 {
 		t.Fatal("no instruction was ever retired by a compiled trace")
 	}
+	if tcops <= entries {
+		t.Fatalf("no trace dispatch ever retired more than one instruction (%d ops over %d entries)", tcops, entries)
+	}
 	if tcbail == 0 {
-		t.Fatal("no trace dispatch ever bailed out to the generic loop")
+		t.Fatal("no trace dispatch ever bailed out to execute()")
 	}
 }
 
 // TestLockstepFuzzBatchPerInstruction replays the same program class with a
 // one-instruction batch budget: full architectural state is compared after
-// every single instruction, through the same superblock dispatch path.
+// every single instruction, through the same trace dispatch path (each
+// batch is a one-op trace or one execute() retire).
 func TestLockstepFuzzBatchPerInstruction(t *testing.T) {
 	rng := rand.New(rand.NewSource(0x0E4A_11CE))
 	for pi := 0; pi < 10; pi++ {
 		p := genBatchProgram(t, rng)
-		// A one-instruction budget clamps every block below the trace tier's
-		// blen>1 entry condition; alternating the engine anyway pins the
-		// block engine through this dispatch route as well.
-		fast, slow, fc, sc := newBatchPair(t, batchEngines[pi%2])
+		fast, slow, fc, sc := newBatchPair(t)
 		load(t, fast, ramBase, p)
 		load(t, slow, ramBase, p)
 		batchLockstep(t, "perinst", pi, fast, slow, fc, sc, isa.ExcEcallM, 1)
@@ -689,7 +677,7 @@ func TestBatchTimerAtHorizonEdge(t *testing.T) {
 			p.ADDI(5, 5, 1)
 		}
 		p.ECALL()
-		fast, slow, fc, sc := newBatchPair(t, EngineTrace)
+		fast, slow, fc, sc := newBatchPair(t)
 		load(t, fast, ramBase, p)
 		load(t, slow, ramBase, p)
 		fc.mtimecmp, fc.armed = dl, true
@@ -722,14 +710,14 @@ func TestBatchSMCInsideExecutingSuperblock(t *testing.T) {
 	p.ADDI(5, 5, 1) // overwritten before it is reached
 	p.ECALL()
 
-	fast, slow, fc, sc := newBatchPair(t, EngineTrace)
+	fast, slow, fc, sc := newBatchPair(t)
 	load(t, fast, ramBase, p)
 	load(t, slow, ramBase, p)
 	batchLockstep(t, "smc", 0, fast, slow, fc, sc, isa.ExcEcallM, 0)
 	if got := fast.Reg(5); got != 2 {
 		t.Fatalf("x5 = %d, want 2 (stale decoded block executed)", got)
 	}
-	if st := fast.FastPathStats(); st.SBInvals == 0 {
-		t.Fatalf("no superblock invalidation recorded: %+v", st)
+	if st := fast.FastPathStats(); st.BlockInvals == 0 {
+		t.Fatalf("no decoded-page invalidation recorded: %+v", st)
 	}
 }

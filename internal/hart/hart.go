@@ -1,6 +1,6 @@
 // Package hart implements the simulated RISC-V hart: an RV64IMA execution
-// core (reference interpreter plus superblock and compiled-trace tiers,
-// one opcode table for all three) with the four privilege modes ZION uses
+// core (reference interpreter plus a compiled-trace tier over superblocks,
+// one opcode table for both) with the four privilege modes ZION uses
 // (M, HS, VS, VU), full trap-entry/return semantics, two-level trap
 // delegation (medeleg/hedeleg, mideleg/hideleg), PMP-checked physical
 // access, a TLB-fronted two-stage MMU, and a calibrated cycle model.
@@ -80,13 +80,11 @@ type Hart struct {
 	csr    *csrFile
 	walker ptw.Walker
 
-	// engine is the hart's execution tier (SetEngine). fp holds the
-	// micro-TLBs and decoded-page caches the block and trace tiers run on
-	// (fastpath.go); nil on the slow engine. mmuGen is the
+	// fp holds the micro-TLBs and decoded-page caches the trace tier runs
+	// on (fastpath.go); nil on the slow engine (SetEngine). mmuGen is the
 	// translation-context epoch fp validates against: bumped on every
 	// write that could change how virtual addresses resolve
 	// (satp/vsatp/hgatp/mstatus, including the sstatus view).
-	engine Engine
 	fp     *fastPath
 	mmuGen uint64
 	// op is execute()'s operand scratch for opcode-table dispatch.
@@ -95,12 +93,12 @@ type Hart struct {
 	// reaches the bus (CLINT, UART, virtio windows). A bus access is the
 	// only way interpreted code can change asynchronous-event state from
 	// inside a straight-line run — reprogram its own mtimecmp, raise a
-	// self-IPI via msip — so the superblock dispatch loop re-checks it
-	// after every instruction and RunBatch hands control back to the
-	// caller when it moved, forcing a fresh timer/deadline sample. All
-	// other mip mutations happen at instruction boundaries the block
-	// builder already treats as block-terminating (CSR writes, traps) or
-	// are deferred to quantum barriers by the parallel engine.
+	// self-IPI via msip — so RunBatch checks it after every instruction
+	// that execute() retires and hands control back to the caller when
+	// it moved, forcing a fresh timer/deadline sample. All other mip
+	// mutations happen at instructions the trace never dispatches (CSR
+	// writes, traps) or are deferred to quantum barriers by the parallel
+	// engine.
 	asyncGen uint64
 
 	// LR/SC reservation.

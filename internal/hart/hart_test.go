@@ -78,10 +78,6 @@ func runBatched(t *testing.T, h *Hart, maxSteps uint64) Event {
 	return Event{}
 }
 
-// batchEngines are the tiers RunBatch accelerates; each is checked
-// against the slow reference interpreter.
-var batchEngines = []Engine{EngineTrace, EngineBlock}
-
 func TestMModeALUProgram(t *testing.T) {
 	h := newHart(t)
 	p := asm.New(ramBase)

@@ -6,27 +6,27 @@ import (
 	"zion/internal/telemetry"
 )
 
-// Superblock engine: straight-line runs of decoded instructions dispatched
-// without re-sampling the timer or PendingInterrupt between them, under an
-// event-horizon proof that no per-instruction boundary check could have
-// fired earlier.
+// Superblocks: straight-line runs of decoded instructions that the
+// compiled trace (trace.go) dispatches without re-sampling the timer or
+// PendingInterrupt between them, under an event-horizon proof that no
+// per-instruction boundary check could have fired earlier.
 //
 // The proof, spelled out:
 //
 //  1. PendingInterrupt's inputs (mip, hvip, mie, hie, mideleg, hideleg,
-//     mstatus, vsstatus, Mode) are constant across a straight-line run.
+//     mstatus, vsstatus, Mode) are constant across a trace dispatch.
 //     The only instructions that can change them — CSR accesses, ecall/
-//     ebreak, sret/mret, wfi, fences of translation state — are classified
-//     as block boundaries and can only appear as a run's final
-//     instruction; a trapping instruction ends the run by returning its
-//     event. Cross-hart mutations (IPIs, shootdowns) are deferred to
-//     quantum barriers by the parallel engine, which RunBatch's deadline
-//     already encodes (BatchDeadline merges the quantum edge).
+//     ebreak, sret/mret, wfi, fences of translation state — compile to
+//     empty slots, which stop the trace. Cross-hart mutations (IPIs,
+//     shootdowns) are deferred to quantum barriers by the parallel
+//     engine, which RunBatch's deadline already encodes (BatchDeadline
+//     merges the quantum edge).
 //  2. The one same-hart loophole is a bus access: interpreted code storing
-//     to its own CLINT can rearm mtimecmp or raise msip mid-run. Every bus
-//     access bumps h.asyncGen (memaccess.go); the dispatch loop re-checks
-//     it after each instruction and RunBatch returns to its caller when it
-//     moved, forcing a fresh deadline sample.
+//     to its own CLINT can rearm mtimecmp or raise msip. Trace handlers
+//     never reach the bus; an instruction that does is retired by
+//     execute(), which bumps h.asyncGen (memaccess.go), and RunBatch
+//     returns to its caller when it moved, forcing a fresh deadline
+//     sample.
 //  3. The timer itself fires only when h.Cycles reaches the deadline.
 //     sbWorst bounds the cycles every instruction of the run except the
 //     last can consume; per-step engines check the deadline before each
@@ -37,13 +37,14 @@ import (
 //     next boundary. When the bound crosses the deadline the entry is
 //     degraded to single-step pacing (HorizonCutoffs) instead.
 //
-// Bit-identity with the reference interpreter is preserved by
-// construction: the shared execute() does all architectural work, and the
-// dispatch loop replays the exact per-fetch accounting (TLB Touch/tick/hit, TLBHit cycles, PMP check count) the
-// slow path would have produced. Blocks never span a page, so the fetch
-// micro-TLB entry that admitted the block — whole-page exec permission,
-// whole-page PMP verdict, stable translation epochs — is the page-span/
-// perm summary for every instruction in it.
+// Bit-identity with the reference interpreter holds by construction: the
+// trace handlers replay the exact per-fetch accounting (TLB Touch/tick/
+// hit, TLBHit cycles, PMP check count) the slow fetch charges, and every
+// instruction they cannot complete retires through the shared execute().
+// Runs never span a page, so the fetch micro-TLB entry that admitted the
+// run — whole-page exec permission, whole-page PMP verdict, stable
+// translation epochs — is the page-span/perm summary for every
+// instruction in it.
 
 // sbMaxWalkSteps bounds the PTE fetches of one translation, including a
 // full two-stage walk where every stage-1 step needs its own stage-2
@@ -70,9 +71,9 @@ func sbBoundary(op isa.Op) bool {
 }
 
 // sbWorstCycles returns the worst-case simulated cycles one retired
-// (non-trapping) mid-block instruction can charge. Trap paths need no
-// bound: a trap ends the block, so no hoisted boundary check follows it.
-// Table ops take their bound from their opcode-table cost class.
+// (non-trapping) mid-run instruction can charge. Trap paths need no
+// bound: a trap ends the batch step, so no hoisted boundary check follows
+// it. Table ops take their bound from their opcode-table cost class.
 func sbWorstCycles(c *Costs, in *isa.Inst) uint64 {
 	if t := &opTable[in.Op]; t.sem != nil {
 		return c.worstCost(t.class)
@@ -94,33 +95,14 @@ func sbWorstCycles(c *Costs, in *isa.Inst) uint64 {
 	return c.Base
 }
 
-// buildSuperblocks computes the straight-line run length and worst-case
-// cycle bound for every slot of a freshly decoded page in one backward
-// pass. The cost table is captured at build time; it is set once at hart
-// construction and never mutated mid-run.
-func (e *fastPath) buildSuperblocks(h *Hart, dp *decodedPage) {
-	c := h.Cost
-	n := len(dp.insts)
-	for i := n - 1; i >= 0; i-- {
-		if sbBoundary(dp.insts[i].Op) || i == n-1 {
-			dp.sbLen[i] = 1
-			dp.sbWorst[i] = 0
-			continue
-		}
-		dp.sbLen[i] = dp.sbLen[i+1] + 1
-		// sbWorst excludes the run's final instruction: checks happen
-		// before each instruction, so the last one's cycles land after
-		// every hoisted check already passed.
-		dp.sbWorst[i] = sbWorstCycles(c, &dp.insts[i]) + dp.sbWorst[i+1]
-	}
-	dp.sbReady.Store(true)
-	e.stats.SBBuilds++
-}
-
-// runBatch is the engine behind Hart.RunBatch: the outer loop preserves
-// the per-boundary contract (deadline check, MTIP clear, interrupt
-// sample) and the inner loop dispatches one superblock without them,
-// justified by the event-horizon proof above.
+// runBatch is the engine behind Hart.RunBatch. Each pass of the loop is
+// one boundary — deadline check, MTIP clear, interrupt sample, exactly as
+// Step performs them — followed by one dispatch: the compiled trace
+// retires as much of the superblock at PC as it can, justified by the
+// event-horizon proof above. When the trace stops short of the run's end
+// without leaving the line (an empty slot, a memory-handler abort, or any
+// slot of a demoted page), the instruction it stopped at retires through
+// execute(), and control returns to the boundary checks.
 func (e *fastPath) runBatch(h *Hart, deadline uint64, armed bool, max uint64) (uint64, Event, bool) {
 	var n uint64
 	for n < max {
@@ -151,15 +133,12 @@ func (e *fastPath) runBatch(h *Hart, deadline uint64, armed bool, max uint64) (u
 				e.mu.Unlock()
 				return n, Event{}, false // write-hot page: decode per fetch instead
 			}
-			dp = e.decodePageLocked(ent.paPage, ent.page)
+			dp = e.decodePageLocked(h, ent.paPage, ent.page)
 			e.mu.Unlock()
 			ent.dp = dp
 		}
 
 		idx := (pc & (isa.PageSize - 1)) >> 2
-		if !dp.sbReady.Load() {
-			e.buildSuperblocks(h, dp)
-		}
 		blen := uint64(dp.sbLen[idx])
 		if armed && h.Cycles+dp.sbWorst[idx] >= deadline {
 			// Event horizon: a boundary check inside the run could have
@@ -171,85 +150,43 @@ func (e *fastPath) runBatch(h *Hart, deadline uint64, armed bool, max uint64) (u
 		if rem := max - n; blen > rem {
 			blen = rem
 		}
-		if blen > 1 {
-			e.stats.SBHits++
+
+		var i uint64
+		if dp.tcOps != nil {
+			i = e.runTrace(h, dp.tcOps, idx, blen, pc, ent.bare, int(ent.tlbIdx))
+			e.stats.FetchHits += i
+			n += i
+			if e.hist != nil && i > 0 {
+				e.lens.Observe(i)
+			}
+			if i == blen || h.PC != pc+4*i {
+				continue // run done or side exit: next boundary
+			}
 		}
 
-		bare := ent.bare
-		tgen := ent.tlbGen
-		tidx := int(ent.tlbIdx)
+		// The trace stopped at slot idx+i, still inside the run. Handlers
+		// move no epoch and never touch the bus or this page (trace.go),
+		// so the fetch entry and decoded page that admitted the run still
+		// stand for this instruction, and the horizon check covers it.
+		if !ent.bare {
+			h.TLB.Touch(int(ent.tlbIdx))
+			h.Cycles += h.Cost.TLBHit
+		}
+		h.PMP.NoteCheck()
+		if h.Prof != nil && h.Cycles >= h.Prof.Next {
+			h.Prof.Sample(h.PC, h.Mode.String(), telemetry.ProfTierTrace, h.Cycles)
+		}
 		g0 := h.asyncGen
-		want := pc
-		var i uint64
-		traceExit := false
-		if h.engine == EngineTrace && blen > 1 {
-			// Compiled-trace tier (trace.go): dispatch as much of the run
-			// as possible through pre-bound handlers. The table is built
-			// lazily per decoded page; a nil table means the page was
-			// demoted (invalidation history) and stays on the generic loop.
-			if !dp.tcReady.Load() {
-				e.compileTraces(h, dp, ent.paPage)
-			}
-			if tops := dp.tcOps; tops != nil {
-				i = e.runTrace(h, tops, idx, blen, pc, bare, tidx)
-				want = pc + 4*i
-				if e.tcHist != nil && i > 0 {
-					e.tcLen.Observe(i)
-				}
-				// Handlers never touch the bus, the TLB, or this decoded
-				// page, so g0/tgen/dp.live are still current: the generic
-				// loop below resumes mid-run under the same premises, and
-				// its i!=0 re-checks cover everything that follows. A side
-				// exit (taken branch/jump) ends the run outright.
-				traceExit = h.PC != want
-			}
+		ev := h.execute(dp.insts[idx+i])
+		e.stats.FetchHits++
+		n++
+		if ev.Kind != EvNone {
+			return n, ev, true
 		}
-		gstart := i
-		for ; !traceExit && i < blen; i++ {
-			if i != 0 {
-				// Premise re-checks, cheap enough to pay per instruction:
-				// a device access may have changed asynchronous-event
-				// state, a store may have invalidated this decoded page
-				// (self-modifying code inside the executing block), and a
-				// data-side walk may have inserted into — and thereby
-				// evicted from — the TLB, changing fetch accounting.
-				if h.asyncGen != g0 || !dp.live.Load() {
-					break
-				}
-				if !bare && h.TLB.Gen() != tgen {
-					break
-				}
-			}
-			// Per-fetch accounting, replayed exactly as the slow fetch
-			// charges it.
-			if !bare {
-				h.TLB.Touch(tidx)
-				h.Cycles += h.Cost.TLBHit
-			}
-			h.PMP.NoteCheck()
-			want += 4
-			if h.Prof != nil && h.Cycles >= h.Prof.Next {
-				h.Prof.Sample(pc+4*i, h.Mode.String(), telemetry.ProfTierBlock, h.Cycles)
-			}
-			ev := h.execute(dp.insts[idx+i])
-			if ev.Kind != EvNone {
-				e.stats.FetchHits += i + 1
-				return n + i + 1, ev, true
-			}
-			if h.PC != want {
-				i++ // side exit: the instruction retired, then left the line
-				break
-			}
-		}
-		if e.sbHist != nil && i > gstart {
-			e.sbLen.Observe(i - gstart)
-		}
-		e.stats.FetchHits += i
-		n += i
 		if h.asyncGen != g0 {
-			// The run touched a device: mtimecmp or pending state may have
-			// changed, so the caller's deadline is stale. Hand control
-			// back for a fresh timer sample.
+			// The instruction touched a device: mtimecmp or pending state
+			// may have changed, so the caller's deadline is stale. Hand
+			// control back for a fresh timer sample.
 			return n, Event{}, false
 		}
 	}

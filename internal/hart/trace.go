@@ -9,15 +9,13 @@ import (
 	"zion/internal/telemetry"
 )
 
-// Trace-compilation tier: the default engine. Where the superblock loop
-// (superblock.go) still funnels every instruction of a straight-line run
-// through the generic execute() — re-extracting decode fields,
-// re-deriving cycle costs, and re-checking dispatch premises per
-// instruction — this tier compiles each decoded page once into a
-// direct-threaded table of pre-bound operations: per slot, the
-// opcode-table semantics (or a micro-TLB memory handler) with register
-// indices, immediates, and the op's static cycle cost extracted at
-// compile time.
+// Trace compilation: the fast tier. Each decoded page is compiled once
+// (decodePageLocked) into a direct-threaded table of pre-bound
+// operations: per slot, the opcode-table semantics (or a micro-TLB
+// memory handler) with register indices, immediates, and the op's static
+// cycle cost extracted at compile time. runTrace is the only loop in the
+// simulator that dispatches more than one instruction between boundary
+// checks.
 //
 // Soundness of the once-per-entry generation check, spelled out:
 //
@@ -40,16 +38,17 @@ import (
 //     slot refilled mid-trace carries epochs equal to the snapshot.
 //
 // Any operation that cannot complete under those rules aborts WITHOUT
-// retiring — no cycles, no Instret, no stats — and dispatch falls through
-// to the superblock generic loop, which re-checks its premises per
-// instruction and shares execute() with the slow path, so every hard case
-// (traps, MMIO, page-straddling access, SMC store, CSR side effects)
-// inherits bit-identity by construction.
+// retiring — no cycles, no Instret, no stats — and runBatch retires that
+// one instruction through execute(), shared with the slow path, before
+// returning to its boundary checks. Every hard case (traps, MMIO,
+// page-straddling access, SMC store, CSR side effects) thereby inherits
+// bit-identity by construction. Because no handler moves an epoch, the
+// fetch entry that admitted the trace still stands for that instruction.
 //
-// The event-horizon interrupt proof carries over unchanged: runTrace is
-// only entered for a superblock that already passed the
-// Cycles+sbWorst < deadline check, it charges exactly the cycles the
-// generic loop would, and it dispatches at most the same run.
+// The event-horizon interrupt proof (superblock.go) bounds each dispatch:
+// runTrace is entered for at most the superblock at PC, only after the
+// Cycles+sbWorst < deadline check, and it charges exactly the cycles
+// execute() would.
 //
 // Dispatch is allocation-free after warm-up: compilation allocates the
 // per-page table once (handlers are package-level funcs, so binding them
@@ -60,11 +59,11 @@ import (
 // tcDemoteThreshold is the per-page invalidation count at which trace
 // compilation is demoted: a page invalidated this often (SMC or code/data
 // sharing) stops being trace-compiled — recompiling a 1024-slot table per
-// store would be a recompile storm — while decode and superblock dispatch
-// continue until the 16-invalidation blacklist retires the page from
-// block caching entirely. Demotion is sticky per decoded-page build: the
-// compile attempt marks the page tcReady with a nil table, so the hot
-// dispatch path never consults the invalidation map.
+// store would be a recompile storm — while decode and per-instruction
+// execute() dispatch continue until the 16-invalidation blacklist retires
+// the page from block caching entirely. Demotion is decided once per
+// decoded-page build (a nil table), so the hot dispatch path never
+// consults the invalidation map.
 const tcDemoteThreshold = 4
 
 const tracePageSlots = isa.PageSize / 4
@@ -76,8 +75,8 @@ const tracePageSlots = isa.PageSize / 4
 type memFn func(h *Hart, e *fastPath, op *traceOp) bool
 
 // traceOp is one compiled slot: the opcode-table semantics (sem) or a
-// memory handler (mem) — never both; neither means the generic loop owns
-// the op — plus every decode field they need, pre-extracted. cost is the
+// memory handler (mem) — never both; neither means execute() owns the
+// op — plus every decode field they need, pre-extracted. cost is the
 // op's static retire cost (the opcode-table class cost, or Base+Mem for
 // memory ops); a taken branch adds Cost.Branch at run time, exactly as
 // execute() does.
@@ -91,65 +90,25 @@ type traceOp struct {
 	cost uint64
 }
 
-// SetDispatchHists attaches per-tier dispatch-length histograms: every
-// superblock entry records how many instructions the generic loop retired
-// and how many the compiled trace retired. Both sites are nil-guarded, so
-// the unarmed cost is one pointer test per block entry — the PR 2
-// zero-overhead-when-disabled contract. Recording goes to single-writer
-// plain counters; call FlushDispatchHists to publish them into the
-// attached histograms.
-func (h *Hart) SetDispatchHists(block, trace *telemetry.Histogram) {
+// SetDispatchHist attaches a dispatch-length histogram: every trace
+// entry records how many instructions the compiled trace retired. The
+// record site is nil-guarded, so the unarmed cost is one pointer test per
+// trace entry — the zero-overhead-when-disabled contract. Recording goes
+// to single-writer plain counters; call FlushDispatchHist to publish them
+// into the attached histogram.
+func (h *Hart) SetDispatchHist(hist *telemetry.Histogram) {
 	if h.fp != nil {
-		h.fp.sbHist, h.fp.tcHist = block, trace
+		h.fp.hist = hist
 	}
 }
 
-// FlushDispatchHists drains the dispatch-length distributions accumulated
-// since the last flush into the histograms attached by SetDispatchHists.
-// The shared atomic histograms are touched only here, never on the
+// FlushDispatchHist drains the dispatch-length distribution accumulated
+// since the last flush into the histogram attached by SetDispatchHist.
+// The shared atomic histogram is touched only here, never on the
 // dispatch path.
-func (h *Hart) FlushDispatchHists() {
-	if h.fp == nil {
-		return
-	}
-	h.fp.sbLen.Drain(h.fp.sbHist)
-	h.fp.tcLen.Drain(h.fp.tcHist)
-}
-
-// DispatchHists returns the histograms attached by SetDispatchHists
-// (nil, nil when disabled or on the slow engine).
-func (h *Hart) DispatchHists() (block, trace *telemetry.Histogram) {
-	if h.fp == nil {
-		return nil, nil
-	}
-	return h.fp.sbHist, h.fp.tcHist
-}
-
-// compileTraces builds the pre-bound operation table for a decoded page,
-// or demotes the page (tcReady with a nil table) when its invalidation
-// history says compilation would thrash. Called once per decodedPage on
-// the owning hart's goroutine; the registry maps are shared with peer
-// invalidations, so they are read under the lock.
-func (e *fastPath) compileTraces(h *Hart, dp *decodedPage, paPage uint64) {
-	e.mu.Lock()
-	demoted := e.blacklist[paPage] || e.invCount[paPage] >= tcDemoteThreshold
-	recompile := e.invCount[paPage] > 0
-	e.mu.Unlock()
-	if demoted {
-		e.stats.TCDemotions++
-		dp.tcReady.Store(true) // nil table: page stays on the generic loop
-		return
-	}
-	tops := new([tracePageSlots]traceOp)
-	c := h.Cost
-	for i := range dp.insts {
-		compileTraceOp(c, &dp.insts[i], &tops[i])
-	}
-	dp.tcOps = tops // published before tcReady flips (atomic release)
-	dp.tcReady.Store(true)
-	e.stats.TCCompiles++
-	if recompile {
-		e.stats.TCRecompiles++
+func (h *Hart) FlushDispatchHist() {
+	if h.fp != nil {
+		h.fp.lens.Drain(h.fp.hist)
 	}
 }
 
@@ -157,7 +116,7 @@ func (e *fastPath) compileTraces(h *Hart, dp *decodedPage, paPage uint64) {
 // nanoseconds to compile one full decoded page (tracePageSlots slots,
 // table allocation included) of a representative instruction mix. The
 // bench harness divides this by the measured per-instruction saving of
-// the trace tier over the superblock engine to derive the break-even
+// the trace tier over the slow engine to derive the break-even
 // dispatch count recorded in BENCH_host.json.
 func TraceCompileCost(iters int) float64 {
 	if iters < 1 {
@@ -193,7 +152,7 @@ var traceCompileSink *[tracePageSlots]traceOp
 // compileTraceOp binds one decoded instruction to its opcode-table row or
 // memory handler. Everything else — whatever can trap, touch a CSR, reach
 // the bus through the slow path, or move a generation epoch — compiles to
-// an empty slot owned by the generic superblock loop.
+// an empty slot that execute() retires.
 func compileTraceOp(c *Costs, in *isa.Inst, op *traceOp) {
 	*op = traceOp{rd: in.Rd, rs1: in.Rs1, rs2: in.Rs2, imm: in.Imm}
 	if t := &opTable[in.Op]; t.sem != nil {
@@ -213,11 +172,11 @@ var tcMemOps = [isa.OpCount]memFn{
 // runTrace dispatches up to blen pre-bound operations starting at slot
 // idx. It returns how many instructions retired; the caller detects a
 // side exit (taken branch/jump) by comparing h.PC against the straight
-// line, exactly as the generic loop does. An abort (empty slot, stale
-// unfillable slot, MMIO, code-page store) leaves the aborting instruction
-// unretired for the generic loop to execute. Each op costs exactly one
-// indirect call: table ops retire and then apply their semantics; memory
-// handlers retire themselves (tcRetire) once their slot resolves.
+// line. An abort (empty slot, stale unfillable slot, MMIO, code-page
+// store) leaves the aborting instruction unretired for execute(). Each op
+// costs exactly one indirect call: table ops retire and then apply their
+// semantics; memory handlers retire themselves (tcRetire) once their slot
+// resolves.
 func (e *fastPath) runTrace(h *Hart, tops *[tracePageSlots]traceOp, idx, blen, pc uint64, bare bool, tidx int) uint64 {
 	e.stats.TCEntries++
 	// The once-per-entry generation snapshot (see the package comment for
@@ -228,6 +187,12 @@ func (e *fastPath) runTrace(h *Hart, tops *[tracePageSlots]traceOp, idx, blen, p
 	e.tcMMUGen = h.mmuGen
 	e.tcBare = bare
 	e.tcTidx = tidx
+	// The profiler deadline, read once: armed and unarmed dispatch then pay
+	// the same single compare per op, and only a sample re-reads it.
+	e.tcNext = ^uint64(0)
+	if h.Prof != nil {
+		e.tcNext = h.Prof.Next
+	}
 	want := pc
 	var i uint64
 	for i = 0; i < blen; i++ {
@@ -242,7 +207,7 @@ func (e *fastPath) runTrace(h *Hart, tops *[tracePageSlots]traceOp, idx, blen, p
 				h.Cycles += h.Cost.TLBHit
 			}
 			h.PMP.NoteCheck()
-			if h.Prof != nil && h.Cycles >= h.Prof.Next {
+			if h.Cycles >= e.tcNext {
 				e.tcSample(h)
 			}
 			h.Instret++
@@ -266,11 +231,11 @@ func (e *fastPath) runTrace(h *Hart, tops *[tracePageSlots]traceOp, idx, blen, p
 	return i
 }
 
-// tcRetire replays the per-instruction state the outer engines charge
+// tcRetire replays the per-instruction state runBatch and Step charge
 // before and during execute(): fetch accounting against the page's fetch
 // micro-TLB slot (TLB touch + TLBHit cycles unless the translation was
 // bare, plus the PMP check count), the profiler hook at the same cycle
-// point the per-step engines sample it, then retirement (Instret and the
+// point Step samples it, then retirement (Instret and the
 // op's static cost).
 func tcRetire(h *Hart, e *fastPath, cost uint64) {
 	if !e.tcBare {
@@ -278,7 +243,7 @@ func tcRetire(h *Hart, e *fastPath, cost uint64) {
 		h.Cycles += h.Cost.TLBHit
 	}
 	h.PMP.NoteCheck()
-	if h.Prof != nil && h.Cycles >= h.Prof.Next {
+	if h.Cycles >= e.tcNext {
 		e.tcSample(h)
 	}
 	h.Instret++
@@ -286,9 +251,10 @@ func tcRetire(h *Hart, e *fastPath, cost uint64) {
 }
 
 // tcSample is the trace tier's profiler hook, kept out of line to keep
-// the retire sequence small.
+// the retire sequence small. It advances the dispatch's deadline copy.
 func (e *fastPath) tcSample(h *Hart) {
 	h.Prof.Sample(e.tcPC, h.Mode.String(), telemetry.ProfTierTrace, h.Cycles)
+	e.tcNext = h.Prof.Next
 }
 
 // tcValid is valid() against the entry snapshot instead of the live

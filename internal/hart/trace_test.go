@@ -70,7 +70,7 @@ func TestTraceDispatchAllocs(t *testing.T) {
 	}
 
 	// The dispatch retired real work through pre-bound handlers, not just
-	// via the generic fallback loop.
+	// through execute().
 	if st2 := h.FastPathStats(); st2.TCOps <= st.TCOps {
 		t.Fatalf("measured batches retired no trace ops: before %+v after %+v", st, st2)
 	}
@@ -79,9 +79,9 @@ func TestTraceDispatchAllocs(t *testing.T) {
 // A page that keeps invalidating its own trace table must be demoted, not
 // recompiled per store: compiling a 1024-slot table on every iteration of a
 // self-modifying loop would be a recompile storm that costs more than the
-// tier saves. Past tcDemoteThreshold invalidations the page stays on the
-// generic superblock loop (TCDemotions), while decode and block dispatch
-// continue until the separate blacklist threshold retires the page
+// tier saves. Past tcDemoteThreshold invalidations the page is decoded
+// without a trace table (TCDemotions) and retires through execute(), while
+// decode continues until the separate blacklist threshold retires the page
 // entirely — this loop stays below that, so execution remains on the fast
 // path throughout.
 func TestTraceSMCThrashDemotion(t *testing.T) {
@@ -130,29 +130,22 @@ func TestTraceSMCThrashDemotion(t *testing.T) {
 	}
 }
 
-// Per-tier dispatch-length distributions: with the trace tier on, whole
-// superblock runs retire through pre-bound handlers and the trace histogram
-// must account for exactly the ops the stats report; with the tier off, the
-// same program drains through the generic loop and only the superblock
-// histogram fills. The histograms are host-side observability — arming them
-// must leave every simulated number untouched, which the tri-engine
-// lockstep suites already pin — so this test checks the distribution
-// bookkeeping itself.
+// Dispatch-length distribution: whole superblock runs retire through
+// pre-bound handlers and the histogram must account for exactly the ops the
+// stats report. The histogram is host-side observability — arming it must
+// leave every simulated number untouched, which the trace-vs-slow lockstep
+// suites already pin — so this test checks the distribution bookkeeping
+// itself.
 func TestDispatchLengthHistograms(t *testing.T) {
-	run := func(eng Engine) (sb, tc *telemetry.Histogram, st FastPathStats) {
-		h := newHart(t)
-		h.SetEngine(eng)
-		sb, tc = telemetry.NewHistogram(), telemetry.NewHistogram()
-		h.SetDispatchHists(sb, tc)
-		load(t, h, ramBase, traceAllocProgram())
-		if n, _, _ := h.RunBatch(0, false, 20000); n == 0 {
-			t.Fatal("batch made no progress")
-		}
-		h.FlushDispatchHists()
-		return sb, tc, h.FastPathStats()
+	h := newHart(t)
+	tc := telemetry.NewHistogram()
+	h.SetDispatchHist(tc)
+	load(t, h, ramBase, traceAllocProgram())
+	if n, _, _ := h.RunBatch(0, false, 20000); n == 0 {
+		t.Fatal("batch made no progress")
 	}
-
-	sb, tc, st := run(EngineTrace)
+	h.FlushDispatchHist()
+	st := h.FastPathStats()
 	if tc.Count() == 0 {
 		t.Fatalf("trace histogram empty with the tier on: %+v", st)
 	}
@@ -164,17 +157,5 @@ func TestDispatchLengthHistograms(t *testing.T) {
 	}
 	if tc.Mean() <= 1 {
 		t.Fatalf("trace dispatches average %.1f ops — tier is not amortizing", tc.Mean())
-	}
-	_ = sb // the trace tier may drain whole blocks, leaving the generic loop idle
-
-	sb, tc, st = run(EngineBlock)
-	if tc.Count() != 0 {
-		t.Fatalf("trace histogram observed %d dispatches with the tier off", tc.Count())
-	}
-	if sb.Count() == 0 || sb.Sum() == 0 {
-		t.Fatalf("superblock histogram empty with the generic loop active: %+v", st)
-	}
-	if sb.Mean() <= 1 {
-		t.Fatalf("superblock dispatches average %.1f ops", sb.Mean())
 	}
 }

@@ -136,7 +136,7 @@ func TestMetricsByteStable(t *testing.T) {
 		sc.Counter("sm/hvcalls").Add(7)
 		sc.Gauge("hart0/tlb_hits").Set(123)
 		sc.Histogram("sm/ws_entry_cycles").Observe(4000)
-		sc.Profiler(0).Sample(0x2000, "VS", telemetry.ProfTierBlock, 64)
+		sc.Profiler(0).Sample(0x2000, "VS", telemetry.ProfTierTrace, 64)
 		s := New(sink, nil)
 		s.Update([]HartProgress{{Hart: 0, Cycles: 500}})
 		return s

@@ -206,9 +206,9 @@ func (s *SM) auditOwnership() []AuditFinding {
 		for _, cache := range append([]*pageCache{&c.tableCache}, vcpuCaches(c)...) {
 			for _, b := range cache.blocks() {
 				free := 0
-				for i, u := range b.used {
+				for i := 0; i < BlockPages; i++ {
 					pa := b.base + uint64(i)*isa.PageSize
-					if !u {
+					if b.used&(1<<i) == 0 {
 						free++
 						continue
 					}

@@ -9,8 +9,8 @@ import (
 )
 
 // Every scenario in this file runs once per execution engine and the
-// results must be bit-identical: the trace and superblock engines claim
-// exact cycle accounting, and SM fault handling (quarantine post-mortems
+// results must be bit-identical: the trace engine claims exact cycle
+// accounting, and SM fault handling (quarantine post-mortems
 // included) must not observe which engine hit the fault.
 
 // perEngine runs fn once per engine (hart.Engines, trace first) as a
@@ -56,14 +56,14 @@ type compSnap struct {
 // of a (super)block, the guest receives an SBI error and keeps running to
 // shutdown. Post-mortem attribution (compartment, op, cycle, hart, epoch,
 // cause), the guest-visible outcome, and the final cycle counter must be
-// bit-identical across the slow, superblock, and trace engines.
+// bit-identical across the slow and trace engines.
 func TestQuadEngineCompartmentQuarantineLockstep(t *testing.T) {
 	var snaps []compSnap
 	perEngine(t, func(t *testing.T, eng hart.Engine) {
 		f := newEngineFixture(t, eng)
 		f.buildCVM(shutdownProgram(func(p *asm.Program) {
-			// Enough straight-line compute for the superblock engine to
-			// form and chain blocks before the fault site.
+			// Enough straight-line compute for the trace engine to
+			// dispatch whole superblocks before the fault site.
 			p.LI(asm.T0, 64)
 			p.LI(asm.S0, 0)
 			p.Label("loop")

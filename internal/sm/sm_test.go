@@ -237,16 +237,24 @@ func TestMMIOWriteRoundTrip(t *testing.T) {
 	}
 }
 
-func TestCheckAfterLoadDetectsTampering(t *testing.T) {
+// pendingMMIORead is the Check-after-Load fixture: a CVM whose first exit
+// is an 8-byte MMIO load into s4, published in the shared vCPU and left
+// pending for the hypervisor to answer.
+func pendingMMIORead(t *testing.T) *fixture {
+	t.Helper()
 	f := newFixture(t, Config{})
 	f.buildCVM(shutdownProgram(func(p *asm.Program) {
 		p.LI(asm.T0, 0x1000_0000)
 		p.LD(asm.S4, asm.T0, 0)
 	}))
-	info := f.run()
-	if info.Reason != ExitMMIORead {
+	if info := f.run(); info.Reason != ExitMMIORead {
 		t.Fatalf("reason = %v", info.Reason)
 	}
+	return f
+}
+
+func TestCheckAfterLoadDetectsTampering(t *testing.T) {
+	f := pendingMMIORead(t)
 	// Malicious hypervisor redirects the result into the stack pointer.
 	if err := f.m.RAM.WriteUint64(sharedPA+shvTargetReg, uint64(asm.SP)); err != nil {
 		t.Fatal(err)
@@ -286,14 +294,7 @@ func TestCheckAfterLoadDetectsTampering(t *testing.T) {
 // higher bit must still fail Check-after-Load: the SM compares the full
 // 64-bit field, not the register index it will eventually use.
 func TestCheckAfterLoadDetectsHighBitTargetTamper(t *testing.T) {
-	f := newFixture(t, Config{})
-	f.buildCVM(shutdownProgram(func(p *asm.Program) {
-		p.LI(asm.T0, 0x1000_0000)
-		p.LD(asm.S4, asm.T0, 0)
-	}))
-	if info := f.run(); info.Reason != ExitMMIORead {
-		t.Fatalf("reason = %v", info.Reason)
-	}
+	f := pendingMMIORead(t)
 	if err := f.m.RAM.WriteUint64(sharedPA+shvTargetReg, uint64(asm.S4)|1<<8); err != nil {
 		t.Fatal(err)
 	}

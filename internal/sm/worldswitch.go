@@ -421,11 +421,12 @@ func (s *SM) runLoop(h *hart.Hart, c *CVM, v *VCPU) (ExitInfo, uint64) {
 		var ev hart.Event
 		var batched bool
 		if s.cfg.StepHook == nil {
-			// Hot path: superblock batching, step-for-step identical to
-			// the loop below. A false return (deadline hit, fast path
-			// unable to proceed, or a guest device access that may have
-			// rearmed its own timer) falls through to tickTimer+Step,
-			// after which the next iteration re-samples the deadline.
+			// Hot path: trace-dispatched superblocks, step-for-step
+			// identical to the loop below. A false return (deadline hit,
+			// fast path unable to proceed, or a guest device access that
+			// may have rearmed its own timer) falls through to
+			// tickTimer+Step, after which the next iteration re-samples
+			// the deadline.
 			dl, armed := h.BatchDeadline(s.machine.CLINT.NextDeadline(h.ID))
 			_, ev, batched = h.RunBatch(dl, armed, ^uint64(0))
 		} else {

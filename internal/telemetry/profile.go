@@ -15,8 +15,7 @@ type ProfTier uint8
 // Engine tiers.
 const (
 	ProfTierSlow  ProfTier = iota // reference interpreter Step()
-	ProfTierBlock                 // superblock batch dispatch
-	ProfTierTrace                 // compiled-trace dispatch (pre-bound handlers)
+	ProfTierTrace                 // RunBatch on the trace engine
 )
 
 // String implements fmt.Stringer.
@@ -24,8 +23,6 @@ func (t ProfTier) String() string {
 	switch t {
 	case ProfTierSlow:
 		return "slow"
-	case ProfTierBlock:
-		return "block"
 	case ProfTierTrace:
 		return "trace"
 	}

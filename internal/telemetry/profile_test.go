@@ -71,8 +71,8 @@ func TestFoldedProfileExport(t *testing.T) {
 		p := sc.Profiler(2)
 		p.Sample(0x80000000, "HS", ProfTierSlow, 64)
 		sc.AttrSwitch(2, 64, 1, AttrGuest)
-		p.Sample(0x80000100, "VS", ProfTierBlock, 128)
-		p.Sample(0x80000100, "VS", ProfTierBlock, 192)
+		p.Sample(0x80000100, "VS", ProfTierTrace, 128)
+		p.Sample(0x80000100, "VS", ProfTierTrace, 192)
 		return sink
 	}
 	var a, b bytes.Buffer
@@ -84,7 +84,7 @@ func TestFoldedProfileExport(t *testing.T) {
 	out := a.String()
 	for _, want := range []string{
 		"p0;hart2;host;HS;slow;pc=0x80000000 64",
-		"p0;hart2;cvm1;VS;block;pc=0x80000100 128",
+		"p0;hart2;cvm1;VS;trace;pc=0x80000100 128",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("folded export missing %q:\n%s", want, out)

@@ -267,8 +267,13 @@ func (q *Queue) Pop(m MemIO) (Chain, bool, error) {
 	if err != nil {
 		return Chain{}, false, err
 	}
-	if q.lastAvail == availIdx {
+	pending := availIdx - q.lastAvail // uint16 wraparound arithmetic
+	if pending == 0 {
 		return Chain{}, false, nil
+	}
+	if pending > q.Size {
+		// Also what stops a zero-size ring from reaching the modulo below.
+		return Chain{}, false, &ChainError{Kind: ChainBadAvail, Head: 0, Index: availIdx}
 	}
 	slot := q.lastAvail % q.Size
 	head, err := q.readU16Into(m, q.AvailGPA+4+uint64(slot)*2)

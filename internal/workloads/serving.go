@@ -153,13 +153,17 @@ func RunServing(k *hv.Hypervisor, h *hart.Hart, sc *telemetry.Scope, cfg Serving
 	if cfg.QueueSize == 0 {
 		cfg.QueueSize = 64
 	}
+	// Each chain occupies 3 descriptor slots until the device's
+	// synchronous Notify consumes them; a batch posted before one doorbell
+	// must fit the ring. A ring without room for one chain would clamp the
+	// depth to zero and the round loop would spin without posting.
+	if cfg.QueueSize < 3 {
+		return nil, fmt.Errorf("serving: queue size %d cannot hold one 3-descriptor chain", cfg.QueueSize)
+	}
 	if cfg.Depth < 1 {
 		cfg.Depth = 1
 	}
 	if cfg.Depth > int(cfg.QueueSize)/3 {
-		// Each chain occupies 3 descriptor slots until the device's
-		// synchronous Notify consumes them; a batch posted before one
-		// doorbell must fit the ring.
 		cfg.Depth = int(cfg.QueueSize) / 3
 	}
 	if cfg.ReqBytes <= 0 {

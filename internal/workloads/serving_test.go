@@ -2,6 +2,7 @@ package workloads
 
 import (
 	"testing"
+	"time"
 
 	"zion/internal/hart"
 	"zion/internal/hv"
@@ -126,5 +127,29 @@ func TestServingBatchedBeatsBaseline(t *testing.T) {
 		// The baseline fires one IRQ per request; coalescing must fire
 		// far fewer for the same load.
 		t.Fatalf("coalescing did not reduce IRQs: baseline %d, optimized %d", bst.IRQsFired, opt.IRQsFired)
+	}
+}
+
+// A ring too small for one 3-descriptor chain must be rejected up front:
+// clamping the in-flight depth to zero would post nothing and spin
+// forever, so a regression fails on the timer instead of hanging the suite.
+func TestServingRejectsTinyRing(t *testing.T) {
+	for _, qs := range []uint16{1, 2} {
+		k, h := newServingStack(t)
+		cfg := servingCfg(64)
+		cfg.QueueSize = qs
+		done := make(chan error, 1)
+		go func() {
+			_, err := RunServing(k, h, nil, cfg)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err == nil {
+				t.Errorf("QueueSize %d: RunServing accepted a ring that cannot hold one chain", qs)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("QueueSize %d: RunServing did not return", qs)
+		}
 	}
 }
