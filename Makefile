@@ -29,14 +29,19 @@
 #                           checked inside zionbench); writes the latency
 #                           histogram artifact serving_hist.json
 #   make test-allocs      - pin the zero-allocation contract of the reference
-#                           interpreter and the trace engine's superblock
-#                           and compiled-trace dispatch loops
+#                           interpreter, the trace engine's superblock and
+#                           compiled-trace dispatch loops, and the platform
+#                           run loop (Advance) that drives them
+#   make fuzz             - run each native fuzz target for FUZZTIME
+#                           (default 30s; the nightly lane runs 5m)
 
 GO ?= go
 # HOSTHARTS sizes the parallel host-throughput section (bench-multicore).
 HOSTHARTS ?= 4
+# FUZZTIME is how long 'make fuzz' runs each fuzz target.
+FUZZTIME ?= 30s
 
-.PHONY: build test check race race-engine lint smoke smoke-compromise smoke-monitor smoke-serving test-allocs bench bench-host bench-host-short bench-gate bench-multicore
+.PHONY: build test check race race-engine lint smoke smoke-compromise smoke-monitor smoke-serving test-allocs fuzz bench bench-host bench-host-short bench-gate bench-multicore
 
 build:
 	$(GO) build ./...
@@ -107,11 +112,19 @@ smoke-serving:
 # test-allocs is the hot-loop allocation gate: the reference interpreter's
 # Step and the trace engine's RunBatch — its superblock loop, including
 # the execute() retire of whatever a trace stops at, and the
-# compiled-trace dispatch itself — must run allocation-free once warm.
-# The suite runs these anyway; the dedicated target gives CI a cheap job
-# whose failure names the regression directly.
+# compiled-trace dispatch itself — must run allocation-free once warm, and
+# so must platform.Advance, the run loop that paces them (device stores
+# included). The suite runs these anyway; the dedicated target gives CI a
+# cheap job whose failure names the regression directly.
 test-allocs:
-	$(GO) test ./internal/hart -run 'TestStepSlowZeroAllocs|TestRunBatchSuperblockZeroAllocs|TestTraceDispatchAllocs' -count=1 -v
+	$(GO) test ./internal/hart ./internal/platform -run 'TestStepSlowZeroAllocs|TestRunBatchSuperblockZeroAllocs|TestTraceDispatchAllocs|TestAdvanceZeroAllocs' -count=1 -v
+
+# fuzz runs the native fuzz targets for FUZZTIME each (go test accepts one
+# -fuzz target per package per run). A crasher lands under the package's
+# testdata/fuzz/; commit it as a seed so plain 'go test' replays it.
+fuzz:
+	$(GO) test ./internal/sm -run='^$$' -fuzz=FuzzCheckAfterLoad -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/virtio -run='^$$' -fuzz=FuzzPopBatch -fuzztime=$(FUZZTIME)
 
 bench:
 	$(GO) run ./cmd/zionbench

@@ -12,8 +12,8 @@ func gateBaseline() HostResult {
 	return HostResult{
 		Parallel: &ParallelHostResult{
 			Workload: "aes", Harts: 4, HostCores: 4,
-			Engine: "block", Adaptive: true,
-			Speedup: 2.9, Deterministic: true,
+			Adaptive: true,
+			Speedup:  2.9, Deterministic: true,
 			ScalingFloor: DefaultScalingFloor,
 		},
 	}
@@ -88,22 +88,14 @@ func TestScalingGateRelativeCheck(t *testing.T) {
 	}
 }
 
-// TestGateFreeModeExemptions: the opt-in free engine records benchmark
-// numbers but cannot carry the determinism bit or the scaling floor.
-func TestGateFreeModeExemptions(t *testing.T) {
+// TestGateParallelDeterminism: a parallel run without the determinism
+// bit is a hard failure.
+func TestGateParallelDeterminism(t *testing.T) {
 	base := gateBaseline()
 	cur := gateBaseline()
-	cur.Parallel.Engine = "free"
 	cur.Parallel.Deterministic = false
-	cur.Parallel.Speedup = 1.0
-	if err := CheckHostRegression(base, cur); err != nil {
-		t.Errorf("free-mode run hit block-mode gates: %v", err)
-	}
-
-	// Block mode without the determinism bit is a hard failure.
-	cur.Parallel.Engine = "block"
 	if err := CheckHostRegression(base, cur); err == nil {
-		t.Error("non-deterministic block-mode run passed the gate")
+		t.Error("non-deterministic parallel run passed the gate")
 	}
 }
 

@@ -134,7 +134,7 @@ func runWorkloadCopiesStats(k workloads.Kernel, scale, n int, eng hart.Engine, c
 }
 
 // DefaultScalingFloor is the parallel speedup the 4-hart deterministic
-// EngineBlock workload must reach on a host with at least as many cores
+// workload must reach on a host with at least as many cores
 // as harts. RunParallelHost stamps it into the result so the committed
 // baseline JSON carries the floor, and CheckHostRegression enforces the
 // *baseline's* recorded floor — never this constant directly — so a
@@ -159,31 +159,6 @@ type HartScalingRow struct {
 	FinalQuantum   uint64  `json:"final_quantum"`
 }
 
-// ParallelBenchConfig selects the engine configuration of the parallel
-// host-throughput section (zionbench -quantum / -engine).
-type ParallelBenchConfig struct {
-	// Quantum fixes the barrier period in simulated cycles; 0 selects
-	// adaptive sizing seeded at platform.DefaultQuantum.
-	Quantum uint64
-	// Free selects the fast-unordered EngineFree mode. The deterministic
-	// EngineBlock mode is the default and the only one whose bit-identity
-	// the gate enforces.
-	Free bool
-}
-
-// engineConfig expands the bench-level selection into an EngineConfig.
-func (bc ParallelBenchConfig) engineConfig() platform.EngineConfig {
-	cfg := platform.EngineConfig{Quantum: bc.Quantum}
-	if bc.Free {
-		cfg.Mode = platform.EngineFree
-	}
-	if bc.Quantum == 0 {
-		cfg.Adaptive = true
-		cfg.Quantum = platform.DefaultQuantum
-	}
-	return cfg
-}
-
 // ParallelHostResult is the multi-hart host-throughput section of
 // BENCH_host.json. Speedup is wall-clock sequential/parallel for the same
 // n-hart workload; it approaches min(n, host cores) on an idle machine and
@@ -196,7 +171,6 @@ type ParallelHostResult struct {
 	Workload      string  `json:"workload"`
 	Harts         int     `json:"harts"`
 	HostCores     int     `json:"host_cores"`
-	Engine        string  `json:"engine"`
 	Adaptive      bool    `json:"adaptive"`
 	Quantum       uint64  `json:"quantum,omitempty"` // fixed quantum; 0 = adaptive
 	Instructions  uint64  `json:"instructions"`
@@ -208,7 +182,7 @@ type ParallelHostResult struct {
 	Speedup       float64 `json:"speedup"`
 	Deterministic bool    `json:"deterministic"`
 	// ScalingFloor is the minimum Speedup required of a deterministic
-	// EngineBlock run on a host with >= Harts cores. The committed
+	// run on a host with >= Harts cores. The committed
 	// baseline's value is what the CI gate enforces.
 	ScalingFloor float64          `json:"scaling_floor,omitempty"`
 	Scaling      []HartScalingRow `json:"scaling,omitempty"`
@@ -233,12 +207,11 @@ func scalingHartCounts(harts int) []int {
 // RunParallelHost measures host throughput of the quantum-barrier engine
 // on the aes workload across a hart-count sweep (one private workload
 // copy per hart, sequential vs parallel at each point), and cross-checks
-// the determinism contract while doing so: in EngineBlock mode the
-// per-hart fingerprints of both runs must be bit-identical or the
-// benchmark errors. In EngineFree mode fingerprints are still compared
-// and recorded (private copies must agree architecturally) but the
-// Deterministic bit documents the mode's relaxed replay contract.
-func RunParallelHost(scaleDiv, harts int, bc ParallelBenchConfig) (ParallelHostResult, error) {
+// the determinism contract while doing so: the per-hart fingerprints of
+// both runs must be bit-identical or the benchmark errors. quantum fixes
+// the barrier period in simulated cycles (zionbench -quantum); 0 selects
+// adaptive sizing seeded at platform.DefaultQuantum.
+func RunParallelHost(scaleDiv, harts int, quantum uint64) (ParallelHostResult, error) {
 	if scaleDiv < 1 {
 		scaleDiv = 1
 	}
@@ -255,14 +228,17 @@ func RunParallelHost(scaleDiv, harts int, bc ParallelBenchConfig) (ParallelHostR
 	if scale < 8 {
 		scale = 8
 	}
-	cfg := bc.engineConfig()
+	cfg := platform.EngineConfig{Quantum: quantum}
+	if quantum == 0 {
+		cfg.Adaptive = true
+		cfg.Quantum = platform.DefaultQuantum
+	}
 	res := ParallelHostResult{
 		Workload:  k.Name,
 		Harts:     harts,
 		HostCores: runtime.NumCPU(),
-		Engine:    cfg.Mode.String(),
 		Adaptive:  cfg.Adaptive,
-		Quantum:   bc.Quantum,
+		Quantum:   quantum,
 	}
 	for _, n := range scalingHartCounts(harts) {
 		seqFP, seqSec, _, err := runWorkloadCopiesStats(k, scale, n, hart.EngineTrace, nil)
@@ -286,11 +262,9 @@ func RunParallelHost(scaleDiv, harts int, bc ParallelBenchConfig) (ParallelHostR
 		for i := range seqFP {
 			if !seqFP[i].Equal(parFP[i]) {
 				row.Deterministic = false
-				if !bc.Free {
-					res.Scaling = append(res.Scaling, row)
-					return res, fmt.Errorf("bench: %d harts, hart %d sequential/parallel divergence: %v vs %v",
-						n, i, seqFP[i], parFP[i])
-				}
+				res.Scaling = append(res.Scaling, row)
+				return res, fmt.Errorf("bench: %d harts, hart %d sequential/parallel divergence: %v vs %v",
+					n, i, seqFP[i], parFP[i])
 			}
 			instr += seqFP[i].Instret
 			cycles += seqFP[i].Cycles
@@ -319,8 +293,6 @@ func RunParallelHost(scaleDiv, harts int, bc ParallelBenchConfig) (ParallelHostR
 			}
 		}
 	}
-	if !bc.Free {
-		res.ScalingFloor = DefaultScalingFloor
-	}
+	res.ScalingFloor = DefaultScalingFloor
 	return res, nil
 }

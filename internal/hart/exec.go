@@ -51,11 +51,10 @@ func (h *Hart) RunBatch(deadline uint64, armed bool, max uint64) (uint64, Event,
 	if h.fp == nil {
 		return 0, Event{}, false
 	}
-	// Quantum clamp: no batch may run past the barrier deadline, even if
-	// a run loop passed a raw timer deadline without merging it through
-	// BatchDeadline. Adaptive quantum sizing (internal/platform) moves
-	// QuantumDeadline between epochs, so the clamp is re-derived here on
-	// every batch rather than trusted to the caller's sample.
+	// Quantum clamp: callers pass their raw timer deadline, and no batch
+	// may run past the barrier deadline. Adaptive quantum sizing
+	// (internal/platform) moves QuantumDeadline between epochs, so the
+	// clamp is re-derived here on every batch.
 	if h.Yield != nil && (!armed || h.QuantumDeadline < deadline) {
 		deadline, armed = h.QuantumDeadline, true
 	}

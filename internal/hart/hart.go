@@ -174,21 +174,6 @@ func (h *Hart) SetReg(r uint8, v uint64) {
 // Reg reads a GPR.
 func (h *Hart) Reg(r uint8) uint64 { return h.X[r] }
 
-// BatchDeadline merges the caller's natural run-loop deadline (usually
-// the hart's next timer comparator) with the quantum barrier deadline.
-// RunBatch re-checks its deadline before every instruction, so stopping
-// early at the quantum edge is semantically invisible: the caller's loop
-// simply resumes the batch after CheckYield returns.
-func (h *Hart) BatchDeadline(dl uint64, armed bool) (uint64, bool) {
-	if h.Yield == nil {
-		return dl, armed
-	}
-	if !armed || h.QuantumDeadline < dl {
-		return h.QuantumDeadline, true
-	}
-	return dl, true
-}
-
 // CheckYield parks the hart at the quantum barrier when its cycle count
 // has reached the current quantum deadline. It loops because a single
 // timer jump (e.g. a WFI fast-forward across a scheduler quantum) can

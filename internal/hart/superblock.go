@@ -19,8 +19,8 @@ import (
 //     ebreak, sret/mret, wfi, fences of translation state — compile to
 //     empty slots, which stop the trace. Cross-hart mutations (IPIs,
 //     shootdowns) are deferred to quantum barriers by the parallel
-//     engine, which RunBatch's deadline already encodes (BatchDeadline
-//     merges the quantum edge).
+//     engine, which RunBatch's deadline already encodes (it clamps the
+//     deadline to the quantum edge).
 //  2. The one same-hart loophole is a bus access: interpreted code storing
 //     to its own CLINT can rearm mtimecmp or raise msip. Trace handlers
 //     never reach the bus; an instruction that does is retired by

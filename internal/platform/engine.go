@@ -10,7 +10,7 @@
 // the barrier, then applied on the destination's own goroutine when it
 // is released into the next epoch.
 //
-// Determinism model (EngineBlock, the default):
+// Determinism model:
 //
 //   - A hart's own instruction stream, cycle accounting, and trap mix
 //     depend only on its architectural state at each quantum boundary,
@@ -42,19 +42,10 @@
 // with it every deadline and delivery epoch, is identical across reruns
 // and across free-running/Ordered modes. Seeded runs stay bit-identical.
 //
-// EngineFree is the opt-in fast-unordered mode for throughput runs:
-// cross-hart ops still ride outboxes and apply only on the destination
-// goroutine (memory safety is unchanged), but delivery skips the
-// (epoch, src, seq) sort — ready ops land in host arrival order.
-// Per-source FIFO order is still preserved. The architectural end state
-// of commutative workloads is unchanged; the interleaving, and
-// therefore cycle-exact replay, is not. EngineBlock remains the default
-// and the lockstep reference.
-//
-// Delivery itself is decided by epoch in both modes: an op posted in
-// epoch G reaches its destination iff the destination is still running
-// at the end of G, i.e. it finishes in a later epoch. Ops posted at or
-// after the destination's finishing epoch are dropped and counted
+// Delivery itself is decided by epoch: an op posted in epoch G reaches
+// its destination iff the destination is still running at the end of G,
+// i.e. it finishes in a later epoch. Ops posted at or after the
+// destination's finishing epoch are dropped and counted
 // (EngineStats.DroppedOps). Which hart finishes first in host time never
 // decides an op's fate, so CrossOps, DroppedOps and the adaptive-quantum
 // input are identical across modes and reruns.
@@ -85,38 +76,19 @@ const (
 	DefaultMaxQuantum = 1 << 20
 )
 
-// EngineMode selects the cross-hart effect delivery discipline.
+// EngineMode and EngineConfig.Mode remain only because zbench sets them.
 type EngineMode int
 
-const (
-	// EngineBlock is the deterministic quantum-barrier mode: ops posted
-	// in epoch G apply at the target's release into G+1, sorted by
-	// (epoch, source, sequence). The default, and the only mode the
-	// bit-identity contract covers.
-	EngineBlock EngineMode = iota
-	// EngineFree is the fast-unordered throughput mode: ops still apply
-	// on the destination's goroutine at a barrier release, but without
-	// the epoch filter or the sorted merge — host arrival order decides.
-	// Same architectural result for commutative workloads, relaxed
-	// interleaving; not covered by the replay guarantee.
-	EngineFree
-)
-
-// String names the mode the way the bench JSON records it.
-func (m EngineMode) String() string {
-	if m == EngineFree {
-		return "free"
-	}
-	return "block"
-}
+// EngineBlock applies ops posted in epoch G at the target's release into
+// G+1, sorted by (epoch, source, sequence).
+const EngineBlock EngineMode = 0
 
 // EngineConfig configures RunParallel.
 type EngineConfig struct {
 	// Quantum is the barrier period in simulated cycles (0 = DefaultQuantum).
 	// With Adaptive set it is only the starting value.
 	Quantum uint64
-	// Mode selects deterministic (EngineBlock, default) or fast-unordered
-	// (EngineFree) cross-hart delivery.
+	// Mode is always EngineBlock (see EngineMode).
 	Mode EngineMode
 	// Ordered releases harts one at a time in ascending hart-ID order
 	// within each epoch instead of letting them run concurrently. It is
@@ -147,10 +119,8 @@ type EngineConfig struct {
 // EngineStats summarizes one RunParallel invocation: the barrier and
 // adaptive-quantum bookkeeping the bench scaling rows and the
 // "engine/*" telemetry gauges are built from. All counts are in the
-// simulated domain and therefore deterministic for a seeded EngineBlock
-// run.
+// simulated domain and therefore deterministic for a seeded run.
 type EngineStats struct {
-	Mode     EngineMode
 	Adaptive bool
 	// Epochs is the number of quantum barriers crossed.
 	Epochs uint64
@@ -202,7 +172,6 @@ type engine struct {
 	minQ     uint64
 	maxQ     uint64
 	adaptive bool
-	free     bool
 	ordered  bool
 	onEpoch  func(epoch uint64)
 
@@ -410,12 +379,9 @@ func (e *engine) nextTurnLocked(prev int) int {
 // op reaches a hart that finishes in this epoch). Merges append with the
 // then-current epoch tag and gen only grows, so each inbox is
 // epoch-nondecreasing: the ready set is a prefix, split off without
-// copying the remainder.
-//
-// EngineBlock then sorts the ready set by (epoch, src, seq), making
-// application order independent of the host-level interleaving of merges
-// from different harts. EngineFree applies it in arrival order — the
-// fast-unordered contract.
+// copying the remainder. The ready set is then sorted by (epoch, src,
+// seq), making application order independent of the host-level
+// interleaving of merges from different harts.
 func (e *engine) takeReadyLocked(dst int) []xop {
 	q := e.inbox[dst]
 	if len(q) == 0 {
@@ -433,9 +399,6 @@ func (e *engine) takeReadyLocked(dst int) []xop {
 	}
 	ready := q[:cut]
 	e.inbox[dst] = q[cut:]
-	if e.free {
-		return ready
-	}
 	sort.Slice(ready, func(i, j int) bool {
 		a, b := ready[i], ready[j]
 		if a.epoch != b.epoch {
@@ -518,7 +481,7 @@ func (m *Machine) Epoch() uint64 {
 
 // EngineStats returns the barrier/quantum bookkeeping of the most
 // recent completed RunParallel (zero value if none ran). Deterministic
-// for a seeded EngineBlock run; exported as "engine/*" telemetry gauges
+// for a seeded run; exported as "engine/*" telemetry gauges
 // by the bench harness.
 func (m *Machine) EngineStats() EngineStats { return m.lastEngine }
 
@@ -552,15 +515,14 @@ func (m *Machine) RunParallel(cfg EngineConfig, runners []HartRunner) error {
 	}
 	e := &engine{
 		m: m, quantum: q, minQ: minQ, maxQ: maxQ,
-		adaptive: cfg.Adaptive, free: cfg.Mode == EngineFree,
-		ordered: cfg.Ordered, onEpoch: cfg.OnEpoch,
+		adaptive: cfg.Adaptive, ordered: cfg.Ordered, onEpoch: cfg.OnEpoch,
 		nActive: n, turn: -1,
 		outbox: make([][]outOp, n),
 		idle:   make([]bool, n), done: make([]bool, n),
 		inbox: make([][]xop, n), seq: make([]uint64, n),
 	}
 	e.stats = EngineStats{
-		Mode: cfg.Mode, Adaptive: cfg.Adaptive,
+		Adaptive:   cfg.Adaptive,
 		MinQuantum: q, MaxQuantum: q, FinalQuantum: q,
 	}
 	e.cond = sync.NewCond(&e.mu)

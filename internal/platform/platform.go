@@ -1,8 +1,10 @@
 // Package platform assembles the simulated machine: harts, physical RAM,
-// the CLINT timer, a UART, the IOPMP, and an MMIO bus. It also owns the
-// run loop that steps guest code and dispatches trap events to the
-// Go-implemented privileged software (the Secure Monitor at M, the
-// hypervisor at HS, the mini guest kernel at VS).
+// the CLINT timer, a UART, the IOPMP, and an MMIO bus. It also owns
+// Advance, the one loop that moves a hart's instruction stream to its next
+// trap or WFI and paces simulated time on the way. RunHart, the
+// hypervisor's normal-VM loop and the Secure Monitor's CVM loop all call
+// it, so a normal VM and a CVM on the same hart see the same pacing; the
+// loops differ only in how they service the trap it returns.
 package platform
 
 import (
@@ -34,21 +36,6 @@ type MMIODevice interface {
 	Access(hartID int, offset uint64, size int, write bool, val uint64) uint64
 }
 
-// TrapHandler is implemented by the Go privileged components.
-type TrapHandler interface {
-	// HandleTrap services a trap that architecturally entered this
-	// handler's privilege level. The handler must leave the hart in a
-	// runnable state (typically by preparing CSRs and calling MRet/SRet)
-	// or return false to stop the run loop.
-	HandleTrap(h *hart.Hart, t hart.Trap) bool
-}
-
-// TrapHandlerFunc adapts a function to the TrapHandler interface.
-type TrapHandlerFunc func(h *hart.Hart, t hart.Trap) bool
-
-// HandleTrap implements TrapHandler.
-func (f TrapHandlerFunc) HandleTrap(h *hart.Hart, t hart.Trap) bool { return f(h, t) }
-
 // Machine is the simulated SoC.
 type Machine struct {
 	RAM   *mem.PhysMemory
@@ -59,10 +46,12 @@ type Machine struct {
 
 	devices []MMIODevice
 
-	// Privileged software, registered by the integration layer.
-	MHandler  TrapHandler // Secure Monitor (M-mode)
-	HSHandler TrapHandler // hypervisor (HS-mode)
-	VSHandler TrapHandler // guest kernel's Go half (VS-mode)
+	// MHandler services the M-mode traps of RunHart, the bare-metal run
+	// loop. It must leave the hart runnable (typically by preparing CSRs
+	// and calling MRet) or return false to stop the loop. The Secure
+	// Monitor and the hypervisor do not register here: they run guests
+	// through their own loops over Advance.
+	MHandler func(h *hart.Hart, t hart.Trap) bool
 
 	// Flight is the machine's always-on black-box recorder: one bounded
 	// ring of recent high-level events per hart (traps, world switches,
@@ -153,66 +142,111 @@ func (m *Machine) tickTimer(h *hart.Hart) {
 	}
 }
 
-// ErrUnhandledTrap reports a trap that reached a privilege level with no
-// registered handler. The run loop stops and returns it instead of
-// panicking: one VM's stray trap must not take down the whole platform.
+// ErrUnhandledTrap reports a trap that RunHart has no handler for (any
+// trap not targeting M, or an M trap with MHandler unset). The run loop
+// stops and returns it instead of panicking: one VM's stray trap must not
+// take down the whole platform.
 var ErrUnhandledTrap = fmt.Errorf("platform: unhandled trap")
 
-// RunHart steps hart i until a handler stops the loop or maxSteps guest
-// instructions retire. It returns the number of steps executed and a
-// non-nil error if a trap reached a privilege level with no handler.
-func (m *Machine) RunHart(i int, maxSteps uint64) (uint64, error) {
-	h := m.Harts[i]
-	var steps uint64
-	for steps < maxSteps {
-		// Parallel engine: rendezvous with the other harts once this
-		// hart's cycle count crosses the quantum deadline. A false return
-		// is global halt (every hart idle): stop like the sequential
-		// "idle forever" exit.
+// Advance runs hart h for at most max instruction steps and stops at the
+// first trap or WFI, which it returns with live=true. Every run loop paces
+// simulated time through it:
+//
+//   - Under the parallel engine, the hart rendezvouses at the quantum
+//     barrier (CheckYield) before each batch. A false return is global
+//     halt (every hart idle): Advance returns live=false.
+//   - RunBatch gets a fresh CLINT deadline sample every pass; it clamps
+//     the deadline to the quantum edge itself. Between boundaries it
+//     hoists the timer and interrupt checks under its event-horizon proof.
+//   - When RunBatch declines (deadline reached, fetch miss, a device
+//     access that may have rearmed the hart's own timer, or the slow
+//     engine), one tick+Step refreshes MTIP and retires one instruction;
+//     the next pass re-samples the deadline.
+//
+// With step non-nil RunBatch is skipped: step runs before every
+// tick+Step, which paces the stream one instruction at a time for
+// fault-injection hooks. An EvNone return with live=true means the budget
+// ran out.
+func (m *Machine) Advance(h *hart.Hart, max uint64, step func(*hart.Hart)) (uint64, hart.Event, bool) {
+	var n uint64
+	for n < max {
 		if !h.CheckYield() {
-			return steps, nil
+			return n, hart.Event{}, false
 		}
-		// Hot path: superblock batching. Between boundaries the engine
-		// hoists the timer and interrupt checks under its event-horizon
-		// proof; a false return means the deadline was reached, the fast
-		// path could not proceed, or the guest touched a device (its own
-		// CLINT included) — in every case the deadline sampled here is
-		// stale, and the loop re-samples it before continuing.
-		dl, armed := h.BatchDeadline(m.CLINT.NextDeadline(h.ID))
-		n, ev, batched := h.RunBatch(dl, armed, maxSteps-steps)
-		steps += n
+		var ev hart.Event
+		batched := false
+		if step == nil {
+			dl, armed := m.CLINT.NextDeadline(h.ID)
+			var k uint64
+			k, ev, batched = h.RunBatch(dl, armed, max-n)
+			n += k
+		} else {
+			step(h)
+		}
 		if !batched {
-			if steps >= maxSteps {
+			if n >= max {
 				break
 			}
 			m.tickTimer(h)
 			ev = h.Step()
-			steps++
+			n++
+		}
+		if ev.Kind != hart.EvNone {
+			return n, ev, true
+		}
+	}
+	return n, hart.Event{}, true
+}
+
+// WakeAtTimer is the WFI fast-forward: when hart h's timer is armed for a
+// later cycle, it moves h's clock to that deadline, charges the wake-up
+// cost and returns true, and the next Advance takes the timer interrupt.
+// Idle simulated time is free. It returns false when no armed timer can
+// wake the hart. The jump may cross quantum edges; under the parallel
+// engine the next Advance's CheckYield then pays one barrier per quantum
+// crossed.
+func (m *Machine) WakeAtTimer(h *hart.Hart) bool {
+	dl, ok := m.CLINT.NextDeadline(h.ID)
+	if !ok || dl <= h.Cycles {
+		return false
+	}
+	h.Cycles = dl
+	h.Advance(h.Cost.WFIWake)
+	return true
+}
+
+// RunHart runs hart i on bare metal until MHandler stops the loop or
+// maxSteps instructions retire. It returns the number of steps executed
+// and a non-nil error if a trap had no handler.
+func (m *Machine) RunHart(i int, maxSteps uint64) (uint64, error) {
+	h := m.Harts[i]
+	var steps uint64
+	for steps < maxSteps {
+		n, ev, live := m.Advance(h, maxSteps-steps, nil)
+		steps += n
+		if !live {
+			return steps, nil
 		}
 		switch ev.Kind {
-		case hart.EvNone:
-			continue
 		case hart.EvWFI:
+			// Under the engine the hart idles at the barrier first, so a
+			// peer's IPI can still wake it.
 			if h.Yield != nil {
 				if !m.parallelWFI(h) {
 					return steps, nil // global halt: no peer will ever wake this hart
 				}
 				continue
 			}
-			// Advance virtual time to the next timer deadline so the
-			// machine makes progress while the guest idles.
-			if dl, ok := m.CLINT.NextDeadline(h.ID); ok && dl > h.Cycles {
-				h.Cycles = dl
-				h.Advance(h.Cost.WFIWake)
-				continue
+			if !m.WakeAtTimer(h) {
+				return steps, nil // idle forever: nothing to wake the hart
 			}
-			return steps, nil // idle forever: nothing to wake the hart
 		case hart.EvTrap:
-			cont, err := m.dispatch(h, ev.Trap)
-			if err != nil {
-				return steps, err
+			t := ev.Trap
+			if t.Target != isa.ModeM || m.MHandler == nil {
+				return steps, fmt.Errorf("%w: %s to %v at pc=%#x",
+					ErrUnhandledTrap, isa.CauseName(t.Cause), t.Target, t.PC)
 			}
-			if !cont {
+			if !m.MHandler(h, t) {
 				return steps, nil
 			}
 		}
@@ -232,11 +266,9 @@ func (m *Machine) RunHart(i int, maxSteps uint64) (uint64, error) {
 func (m *Machine) parallelWFI(h *hart.Hart) bool {
 	for {
 		dl, armed := m.CLINT.NextDeadline(h.ID)
-		if armed && dl > h.Cycles && dl <= h.QuantumDeadline {
-			// The timer fires within this quantum: take the same virtual-
-			// time jump the sequential engine takes.
-			h.Cycles = dl
-			h.Advance(h.Cost.WFIWake)
+		// The timer fires within this quantum: take the same virtual-time
+		// jump the sequential engine takes.
+		if armed && dl <= h.QuantumDeadline && m.WakeAtTimer(h) {
 			return true
 		}
 		// A timer beyond the quantum still counts as progress; an armed-
@@ -258,22 +290,4 @@ func (m *Machine) parallelWFI(h *hart.Hart) bool {
 			return true
 		}
 	}
-}
-
-// dispatch routes a trap event to the registered privileged component.
-func (m *Machine) dispatch(h *hart.Hart, t hart.Trap) (bool, error) {
-	var handler TrapHandler
-	switch t.Target {
-	case isa.ModeM:
-		handler = m.MHandler
-	case isa.ModeS:
-		handler = m.HSHandler
-	case isa.ModeVS:
-		handler = m.VSHandler
-	}
-	if handler == nil {
-		return false, fmt.Errorf("%w: %s to %v at pc=%#x",
-			ErrUnhandledTrap, isa.CauseName(t.Cause), t.Target, t.PC)
-	}
-	return handler.HandleTrap(h, t), nil
 }

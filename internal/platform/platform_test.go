@@ -24,10 +24,10 @@ func TestMachineBootAndRun(t *testing.T) {
 	h.PC = RAMBase
 
 	var got hart.Trap
-	m.MHandler = TrapHandlerFunc(func(h *hart.Hart, tr hart.Trap) bool {
+	m.MHandler = func(h *hart.Hart, tr hart.Trap) bool {
 		got = tr
 		return false
-	})
+	}
 	m.RunHart(0, 1000)
 	if got.Cause != isa.ExcEcallM {
 		t.Fatalf("trap = %+v", got)
@@ -51,7 +51,7 @@ func TestUARTWriteThroughMMIO(t *testing.T) {
 		t.Fatal(err)
 	}
 	h.PC = RAMBase
-	m.MHandler = TrapHandlerFunc(func(*hart.Hart, hart.Trap) bool { return false })
+	m.MHandler = func(*hart.Hart, hart.Trap) bool { return false }
 	m.RunHart(0, 1000)
 	if m.UART.Output() != "ok" {
 		t.Errorf("uart = %q", m.UART.Output())
@@ -77,12 +77,12 @@ func TestCLINTTimerFiresDuringRun(t *testing.T) {
 	m.CLINT.SetTimer(0, h.Cycles+500)
 
 	var fired bool
-	m.MHandler = TrapHandlerFunc(func(h *hart.Hart, tr hart.Trap) bool {
+	m.MHandler = func(h *hart.Hart, tr hart.Trap) bool {
 		if tr.Cause == isa.CauseInterruptBit|isa.IntMTimer {
 			fired = true
 		}
 		return false
-	})
+	}
 	m.RunHart(0, 100000)
 	if !fired {
 		t.Fatal("timer interrupt did not fire")
@@ -107,10 +107,10 @@ func TestWFIAdvancesToDeadline(t *testing.T) {
 	h.SetCSR(isa.CSRMstatus, h.CSR(isa.CSRMstatus)|isa.MstatusMIE)
 	m.CLINT.SetTimer(0, 100000)
 	var woke bool
-	m.MHandler = TrapHandlerFunc(func(h *hart.Hart, tr hart.Trap) bool {
+	m.MHandler = func(h *hart.Hart, tr hart.Trap) bool {
 		woke = true
 		return false
-	})
+	}
 	steps, err := m.RunHart(0, 1000)
 	if err != nil {
 		t.Fatal(err)
@@ -157,7 +157,7 @@ func TestCLINTMMIOProgramsComparator(t *testing.T) {
 		t.Fatal(err)
 	}
 	h.PC = RAMBase
-	m.MHandler = TrapHandlerFunc(func(*hart.Hart, hart.Trap) bool { return false })
+	m.MHandler = func(*hart.Hart, hart.Trap) bool { return false }
 	m.RunHart(1, 1000)
 	if h.Reg(asm.A0) != 12345 {
 		t.Errorf("mtimecmp readback = %d", h.Reg(asm.A0))
@@ -185,10 +185,10 @@ func TestUnmappedMMIOFaults(t *testing.T) {
 	}
 	h.PC = RAMBase
 	var cause uint64
-	m.MHandler = TrapHandlerFunc(func(h *hart.Hart, tr hart.Trap) bool {
+	m.MHandler = func(h *hart.Hart, tr hart.Trap) bool {
 		cause = tr.Cause
 		return false
-	})
+	}
 	m.RunHart(0, 1000)
 	if cause != isa.ExcLoadAccessFault {
 		t.Errorf("cause = %s", isa.CauseName(cause))
@@ -212,5 +212,40 @@ func TestDispatchErrorsWithoutHandler(t *testing.T) {
 	}
 	if steps == 0 {
 		t.Error("trap should count as an executed step")
+	}
+}
+
+// Advance is the run loop every guest crosses, so once the hart's pages
+// and micro-TLB entries are warm it must not allocate. The loop stores to
+// the hart's own CLINT comparator every iteration: each store ends the
+// batch, so both RunBatch and the tick+Step fallback stay on the path.
+func TestAdvanceZeroAllocs(t *testing.T) {
+	m := New(1, 16<<20)
+	h := m.Harts[0]
+	p := asm.New(RAMBase)
+	p.LI(asm.T0, CLINTBase+mtimecmpOff)
+	p.LI(asm.T1, 1<<40) // far beyond the run: the timer never fires
+	p.Label("top")
+	for i := 0; i < 16; i++ {
+		p.ADDI(asm.T2, asm.T2, 1)
+		p.XOR(asm.T3, asm.T3, asm.T2)
+	}
+	p.SD(asm.T1, asm.T0, 0)
+	p.J("top")
+	if err := m.RAM.Write(RAMBase, p.MustAssemble()); err != nil {
+		t.Fatal(err)
+	}
+	h.PC = RAMBase
+	run := func() {
+		if n, ev, live := m.Advance(h, 4096, nil); n != 4096 || ev.Kind != hart.EvNone || !live {
+			t.Fatalf("advance stopped at %d steps: event %v, live %v (pc=%#x)", n, ev.Kind, live, h.PC)
+		}
+	}
+	run() // warm-up: decode the page
+	if dl, ok := m.CLINT.NextDeadline(0); !ok || dl != 1<<40 {
+		t.Fatalf("device store did not land: deadline %d, armed %v", dl, ok)
+	}
+	if allocs := testing.AllocsPerRun(50, run); allocs != 0 {
+		t.Fatalf("Advance allocates %.1f allocs per 4096 steps, want 0", allocs)
 	}
 }

@@ -410,43 +410,23 @@ func extend(data uint64, width int, signed bool) uint64 {
 // The second return value is the cycle count at which the terminating
 // event began (for §V.B exit-latency accounting).
 func (s *SM) runLoop(h *hart.Hart, c *CVM, v *VCPU) (ExitInfo, uint64) {
+	// A fault-injection StepHook paces the guest one instruction at a
+	// time, with the hook run before each step.
+	var step func(*hart.Hart)
+	if hook := s.cfg.StepHook; hook != nil {
+		step = func(h *hart.Hart) { hook(h, v.ID) }
+	}
 	for {
-		// Parallel engine: rendezvous at the quantum barrier. A running
-		// CVM is never idle, so a false return (global halt) is
-		// impossible here; exit defensively if it ever happens.
-		if !h.CheckYield() {
+		_, ev, live := s.machine.Advance(h, ^uint64(0), step)
+		if !live {
+			// Global halt at a quantum barrier. A running CVM is never
+			// idle, so this cannot happen; exit defensively if it does.
 			v.sec.PC = h.PC
 			return ExitInfo{Reason: ExitTimer}, h.Cycles
 		}
-		var ev hart.Event
-		var batched bool
-		if s.cfg.StepHook == nil {
-			// Hot path: trace-dispatched superblocks, step-for-step
-			// identical to the loop below. A false return (deadline hit,
-			// fast path unable to proceed, or a guest device access that
-			// may have rearmed its own timer) falls through to
-			// tickTimer+Step, after which the next iteration re-samples
-			// the deadline.
-			dl, armed := h.BatchDeadline(s.machine.CLINT.NextDeadline(h.ID))
-			_, ev, batched = h.RunBatch(dl, armed, ^uint64(0))
-		} else {
-			s.cfg.StepHook(h, v.ID)
-		}
-		if !batched {
-			if s.machine.CLINT.TimerPending(h.ID, h.Cycles) {
-				h.SetPending(isa.IntMTimer)
-			} else {
-				h.ClearPending(isa.IntMTimer)
-			}
-			ev = h.Step()
-		}
 		switch ev.Kind {
-		case hart.EvNone:
-			continue
 		case hart.EvWFI:
-			if dl, ok := s.machine.CLINT.NextDeadline(h.ID); ok && dl > h.Cycles {
-				h.Cycles = dl
-				h.Advance(h.Cost.WFIWake)
+			if s.machine.WakeAtTimer(h) {
 				continue
 			}
 			// Idle with nothing armed: yield to the hypervisor. The hart
