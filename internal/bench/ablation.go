@@ -65,7 +65,7 @@ func RunA1(zionTarget int, eng hart.Engine) (A1Result, error) {
 		vms = append(vms, vm)
 	}
 	for _, vm := range vms {
-		if _, _, err := e.RunCVMToCompletion(vm); err != nil {
+		if _, err := e.HV.RunToShutdown(e.H, vm, 0, nil); err != nil {
 			return res, err
 		}
 		res.ZionReached++
@@ -143,7 +143,7 @@ func RunA3(pages int, eng hart.Engine) (A3Result, error) {
 	if err != nil {
 		return A3Result{}, err
 	}
-	if _, _, err := e.RunCVMToCompletion(vm); err != nil {
+	if _, err := e.HV.RunToShutdown(e.H, vm, 0, nil); err != nil {
 		return A3Result{}, err
 	}
 	st := e.SM.Stats
@@ -215,7 +215,7 @@ func RunA4(eng hart.Engine) (A4Result, error) {
 					}
 				}
 			}
-			if _, _, err := e.RunCVMToCompletion(vm); err != nil {
+			if _, err := e.HV.RunToShutdown(e.H, vm, 0, nil); err != nil {
 				return res, err
 			}
 			st := e.SM.Stats

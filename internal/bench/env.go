@@ -184,46 +184,6 @@ func NewEnv(cfg EnvConfig) *Env {
 	return e
 }
 
-// RunCVMToCompletion drives a CVM until shutdown, tolerating quantum
-// exits. It returns the wall cycles consumed and the guest's shutdown
-// payload (self-measured benchmark cycles, when the image reports them).
-func (e *Env) RunCVMToCompletion(vm *hv.VM) (wall, guestData uint64, err error) {
-	start := e.H.Cycles
-	for {
-		info, err := e.HV.RunCVM(e.H, vm, 0)
-		if err != nil {
-			return 0, 0, err
-		}
-		switch info.Reason {
-		case sm.ExitShutdown:
-			return e.H.Cycles - start, info.Data, nil
-		case sm.ExitTimer:
-			continue // rescheduled immediately (single runnable vCPU)
-		default:
-			return 0, 0, fmt.Errorf("bench: unexpected exit %v", info.Reason)
-		}
-	}
-}
-
-// RunNormalToCompletion drives a normal VM until shutdown.
-func (e *Env) RunNormalToCompletion(vm *hv.VM) (wall, guestData uint64, err error) {
-	start := e.H.Cycles
-	for {
-		exit, err := e.HV.RunNormalVCPU(e.H, vm, 0)
-		if err != nil {
-			return 0, 0, err
-		}
-		switch exit.Reason {
-		case sm.ExitShutdown:
-			return e.H.Cycles - start, exit.Data, nil
-		case sm.ExitTimer:
-			continue
-		default:
-			return 0, 0, fmt.Errorf("bench: unexpected exit %v", exit.Reason)
-		}
-	}
-}
-
 // pct returns the percentage change from base to v.
 func pct(base, v float64) float64 {
 	if base == 0 {

@@ -284,7 +284,7 @@ func runHostOnce(k workloads.Kernel, scale int, eng hart.Engine) (hostSample, er
 	}
 	i0 := e.H.Instret
 	t0 := time.Now()
-	if _, _, err := e.RunCVMToCompletion(cvm); err != nil {
+	if _, err := e.HV.RunToShutdown(e.H, cvm, 0, nil); err != nil {
 		return hostSample{}, err
 	}
 	return hostSample{
@@ -510,7 +510,7 @@ type obsSlice struct {
 func runSlice(e *Env, vm *hv.VM) obsSlice {
 	i0 := e.H.Instret
 	t0 := time.Now()
-	info, err := e.HV.RunCVM(e.H, vm, 0)
+	info, err := e.HV.Run(e.H, vm, 0)
 	s := obsSlice{instr: e.H.Instret - i0, seconds: time.Since(t0).Seconds(), err: err}
 	switch {
 	case err != nil:

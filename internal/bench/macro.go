@@ -52,7 +52,7 @@ func RunT1(scaleDiv int, eng hart.Engine) (T1Result, error) {
 		if err != nil {
 			return res, err
 		}
-		_, ncycles, err := en.RunNormalToCompletion(nvm)
+		ninfo, err := en.HV.RunToShutdown(en.H, nvm, 0, nil)
 		if err != nil {
 			return res, fmt.Errorf("%s normal: %w", k.Name, err)
 		}
@@ -62,11 +62,12 @@ func RunT1(scaleDiv int, eng hart.Engine) (T1Result, error) {
 		if err != nil {
 			return res, err
 		}
-		_, ccycles, err := ec.RunCVMToCompletion(cvm)
+		cinfo, err := ec.HV.RunToShutdown(ec.H, cvm, 0, nil)
 		if err != nil {
 			return res, fmt.Errorf("%s cvm: %w", k.Name, err)
 		}
 
+		ncycles, ccycles := ninfo.Data, cinfo.Data
 		over := pct(float64(ncycles), float64(ccycles))
 		res.Rows = append(res.Rows, T1Row{Name: k.Name, NormalVM: ncycles, CVM: ccycles, OverheadP: over})
 		sum += over
@@ -105,7 +106,7 @@ func RunE4(scaleDiv int, eng hart.Engine) (E4Result, error) {
 	if err != nil {
 		return E4Result{}, err
 	}
-	_, ncycles, err := en.RunNormalToCompletion(nvm)
+	ninfo, err := en.HV.RunToShutdown(en.H, nvm, 0, nil)
 	if err != nil {
 		return E4Result{}, err
 	}
@@ -115,14 +116,14 @@ func RunE4(scaleDiv int, eng hart.Engine) (E4Result, error) {
 	if err != nil {
 		return E4Result{}, err
 	}
-	_, ccycles, err := ec.RunCVMToCompletion(cvm)
+	cinfo, err := ec.HV.RunToShutdown(ec.H, cvm, 0, nil)
 	if err != nil {
 		return E4Result{}, err
 	}
 	score := func(cycles uint64) float64 {
 		return float64(scale) / (float64(cycles) / 1e8) / 2.07
 	}
-	r := E4Result{NormalScore: score(ncycles), CVMScore: score(ccycles)}
+	r := E4Result{NormalScore: score(ninfo.Data), CVMScore: score(cinfo.Data)}
 	r.DropP = pct(r.NormalScore, r.CVMScore)
 	return r, nil
 }
@@ -217,11 +218,7 @@ func RunF3(requests int, eng hart.Engine) (F3Result, error) {
 		cl := &redisClient{e: e, vm: vm, net: n}
 		n.Tap = func(f []byte) { cl.resp = append([]byte(nil), f...) }
 		cl.pump = func() error {
-			if confidential {
-				_, err := e.HV.RunCVM(e.H, vm, 0)
-				return err
-			}
-			_, err := e.HV.RunNormalVCPU(e.H, vm, 0)
+			_, err := e.HV.Run(e.H, vm, 0)
 			return err
 		}
 		// Boot the server until it blocks awaiting the first request.
@@ -314,12 +311,8 @@ func RunF4(eng hart.Engine) (F4Result, error) {
 				return 0, err
 			}
 			guest.SetupBlk(e.HV, vm, e.H, 8<<20)
-			if confidential {
-				_, measured, err := e.RunCVMToCompletion(vm)
-				return measured, err
-			}
-			_, measured, err := e.RunNormalToCompletion(vm)
-			return measured, err
+			info, err := e.HV.RunToShutdown(e.H, vm, 0, nil)
+			return info.Data, err
 		}
 		nc, err := run(false)
 		if err != nil {

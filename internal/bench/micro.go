@@ -88,7 +88,7 @@ func RunE1(iters int, eng hart.Engine) (E1Result, error) {
 			return res, err
 		}
 		e.HV.AttachDevice(vm, &mmioStub{})
-		if _, _, err := e.RunCVMToCompletion(vm); err != nil {
+		if _, err := e.HV.RunToShutdown(e.H, vm, 0, nil); err != nil {
 			return res, err
 		}
 		st := e.SM.Stats
@@ -135,7 +135,7 @@ func RunE2(iters int, eng hart.Engine) (E2Result, error) {
 		if err != nil {
 			return res, err
 		}
-		if _, _, err := e.RunCVMToCompletion(vm); err != nil {
+		if _, err := e.HV.RunToShutdown(e.H, vm, 0, nil); err != nil {
 			return res, err
 		}
 		st := e.SM.Stats
@@ -199,7 +199,7 @@ func RunE3(pages int, eng hart.Engine) (E3Result, error) {
 	if err != nil {
 		return res, err
 	}
-	if _, _, err := e.RunNormalToCompletion(nvm); err != nil {
+	if _, err := e.HV.RunToShutdown(e.H, nvm, 0, nil); err != nil {
 		return res, err
 	}
 	res.NormalVM = float64(e.HV.S2FaultCycles) / float64(e.HV.S2FaultCount)
@@ -210,7 +210,7 @@ func RunE3(pages int, eng hart.Engine) (E3Result, error) {
 	if err != nil {
 		return res, err
 	}
-	if _, _, err := e2.RunCVMToCompletion(cvm); err != nil {
+	if _, err := e2.HV.RunToShutdown(e2.H, cvm, 0, nil); err != nil {
 		return res, err
 	}
 	st := e2.SM.Stats

@@ -61,25 +61,6 @@ func (f HartFingerprint) String() string {
 	return s + "}"
 }
 
-// runCVMOn drives a CVM to completion on an arbitrary hart (the per-hart
-// generalisation of Env.RunCVMToCompletion, which is pinned to hart 0).
-func (e *Env) runCVMOn(h *hart.Hart, vm *hv.VM, vcpu int) (uint64, error) {
-	for {
-		info, err := e.HV.RunCVM(h, vm, vcpu)
-		if err != nil {
-			return 0, err
-		}
-		switch info.Reason {
-		case sm.ExitShutdown:
-			return info.Data, nil
-		case sm.ExitTimer:
-			continue
-		default:
-			return 0, fmt.Errorf("bench: unexpected exit %v on hart %d", info.Reason, h.ID)
-		}
-	}
-}
-
 // cvmRunner builds the per-hart work of the lockstep and throughput
 // harnesses: create one CVM of kernel k on this hart, run it to shutdown.
 func (e *Env) cvmRunner(k workloads.Kernel, scale int) platform.HartRunner {
@@ -89,7 +70,7 @@ func (e *Env) cvmRunner(k workloads.Kernel, scale int) platform.HartRunner {
 		if err != nil {
 			return err
 		}
-		_, err = e.runCVMOn(h, vm, 0)
+		_, err = e.HV.RunToShutdown(h, vm, 0, nil)
 		return err
 	}
 }

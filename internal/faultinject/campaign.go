@@ -183,9 +183,7 @@ func Run(cfg CampaignConfig) (*Report, error) {
 	}
 	for _, c := range classes {
 		if c >= numSweepClasses && c < numClasses {
-			// One injection quarantines an SM compartment for the rest of
-			// the monitor's life, so these classes cannot be swept.
-			return nil, fmt.Errorf("faultinject: class %v compromises a monitor compartment (one-shot); drive it with RunCompromise", c)
+			return nil, errOneShot(c)
 		}
 	}
 	in, err := NewInjector(cfg.Seed, cfg.Quantum)

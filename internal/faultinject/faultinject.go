@@ -404,6 +404,9 @@ func (in *Injector) drive(id int, want uint64, maxRounds int) (Outcome, error) {
 
 // Inject performs one fault of the given class and reports its outcome.
 func (in *Injector) Inject(class Class) (Outcome, error) {
+	if class >= numSweepClasses && class < numClasses {
+		return 0, errOneShot(class)
+	}
 	// Black-box the injection before it fires, so a quarantine post-mortem
 	// taken downstream shows the fault that caused it in its flight tail.
 	in.m.Flight.Ring(in.h.ID).Record(in.h.Cycles, telemetry.FlightFault,
@@ -421,16 +424,16 @@ func (in *Injector) Inject(class Class) (Outcome, error) {
 		return in.injectProtocolViolation()
 	case ClassSharedTamper:
 		return in.injectSharedTamper()
-	case ClassAllocCorrupt:
-		return in.injectAllocCorrupt()
-	case ClassAttestSmash:
-		return in.injectAttestSmash()
-	case ClassGateFuzz:
-		return in.injectGateFuzz()
-	case ClassCompHang:
-		return in.injectCompHang()
 	}
 	return 0, fmt.Errorf("faultinject: unknown class %v", class)
+}
+
+// errOneShot refuses a compartment-compromise class outside
+// RunCompromise: one injection quarantines an SM compartment for the rest
+// of the monitor's life, so the class can be neither swept nor injected
+// into a shared injector.
+func errOneShot(c Class) error {
+	return fmt.Errorf("faultinject: class %v compromises a monitor compartment (one-shot); drive it with RunCompromise", c)
 }
 
 // expectCompartmentDown asserts that compartment comp was quarantined
@@ -450,143 +453,6 @@ func (in *Injector) expectCompartmentDown(comp sm.Compartment, err error) error 
 		return fmt.Errorf("faultinject: %v quarantined without a post-mortem record", comp)
 	}
 	return nil
-}
-
-// injectAllocCorrupt spawns a register-only victim, flips allocator
-// free-list metadata, and proves the blast radius: the next allocator
-// crossing quarantines the compartment (with a salvage record), new
-// creates are refused with a typed error, and the already-running victim
-// finishes with the right checksum and tears down through the forced
-// give-back path.
-func (in *Injector) injectAllocCorrupt() (Outcome, error) {
-	n := uint64(100 + in.rng.Intn(100))
-	id, err := in.spawn(checksumProgram(n))
-	if err != nil {
-		return 0, err
-	}
-	if _, ok := in.s.CorruptAllocMeta(uint64(in.rng.Int63())); !ok {
-		// No free block left to target: nothing was injected.
-		if derr := in.destroy(id); derr != nil {
-			return 0, derr
-		}
-		return OutcomeMasked, nil
-	}
-	_, cerr := in.s.HVCall(in.h, sm.FnCreateCVM)
-	if err := in.expectCompartmentDown(sm.CompAlloc, cerr); err != nil {
-		return OutcomeMissed, err
-	}
-	rec, _ := in.s.CompartmentRecordOf(sm.CompAlloc)
-	if rec.Salvage == "" {
-		return OutcomeMissed, fmt.Errorf("faultinject: allocator quarantined without salvaging its free list")
-	}
-	out, err := in.drive(id, n*(n+1)/2, victimCap)
-	if err != nil {
-		return 0, err
-	}
-	if out != OutcomeMasked {
-		return OutcomeBreach, fmt.Errorf("faultinject: allocator loss perturbed a running CVM: %v", out)
-	}
-	return OutcomeQuarantined, nil
-}
-
-// injectAttestSmash flips a platform-key bit and proves the degraded-mode
-// contract: the attest compartment quarantines on its next crossing,
-// creates and out-of-band reports are refused with a typed error, and the
-// already-running victim still finishes and tears down.
-func (in *Injector) injectAttestSmash() (Outcome, error) {
-	n := uint64(100 + in.rng.Intn(100))
-	id, err := in.spawn(checksumProgram(n))
-	if err != nil {
-		return 0, err
-	}
-	in.s.CorruptAttestKey(uint(in.rng.Intn(1024)))
-	_, berr := in.s.BuildReport(id, in.rng.Uint64())
-	if err := in.expectCompartmentDown(sm.CompAttest, berr); err != nil {
-		return OutcomeMissed, err
-	}
-	// Degraded mode: a CVM cannot be born without its measurement.
-	if _, cerr := in.s.HVCall(in.h, sm.FnCreateCVM); cerr == nil {
-		return OutcomeBreach, fmt.Errorf("faultinject: create accepted with attestation down")
-	}
-	out, err := in.drive(id, n*(n+1)/2, victimCap)
-	if err != nil {
-		return 0, err
-	}
-	if out != OutcomeMasked {
-		return OutcomeBreach, fmt.Errorf("faultinject: attestation loss perturbed a running CVM: %v", out)
-	}
-	return OutcomeQuarantined, nil
-}
-
-// injectGateFuzz drives raw gate crossings with random (often illegal)
-// compartment pairs. Every rejection must be typed and no compartment may
-// be quarantined: argument fuzzing is the gate's negative control.
-func (in *Injector) injectGateFuzz() (Outcome, error) {
-	for i := 0; i < 16; i++ {
-		from := int64(in.rng.Intn(12)) - 4 // well outside [-1, NumCompartments)
-		to := int64(in.rng.Intn(12)) - 4
-		err := in.s.GateProbe(in.h, from, to, "fuzz")
-		if err == nil {
-			continue // a legal crossing: validation happens behind the gate
-		}
-		if _, ok := sm.AsSMError(err); !ok {
-			return OutcomeBreach, fmt.Errorf("faultinject: untyped gate rejection for (%d,%d): %v", from, to, err)
-		}
-	}
-	for c := sm.Compartment(0); c < sm.NumCompartments; c++ {
-		if in.s.CompartmentDown(c) {
-			return OutcomeBreach, fmt.Errorf("faultinject: gate fuzz quarantined %v", c)
-		}
-	}
-	return OutcomeDenied, nil
-}
-
-// injectCompHang wedges a compartment in its gate prologue (lifecycle or
-// the world switch, the two compartments with distinct degraded modes)
-// and proves the watchdog quarantines it instead of hanging the platform,
-// while the other compartment's services keep working.
-func (in *Injector) injectCompHang() (Outcome, error) {
-	n := uint64(100 + in.rng.Intn(100))
-	id, err := in.spawn(checksumProgram(n))
-	if err != nil {
-		return 0, err
-	}
-	if in.rng.Intn(2) == 0 {
-		// Hang lifecycle: the next create wedges mid-gate and the watchdog
-		// quarantines the compartment. Runs (world switch) and teardown
-		// (forced) keep working.
-		target := sm.CompLifecycle
-		in.hangTarget = &target
-		_, cerr := in.s.HVCall(in.h, sm.FnCreateCVM)
-		if err := in.expectCompartmentDown(sm.CompLifecycle, cerr); err != nil {
-			return OutcomeMissed, err
-		}
-		out, err := in.drive(id, n*(n+1)/2, victimCap)
-		if err != nil {
-			return 0, err
-		}
-		if out != OutcomeMasked {
-			return OutcomeBreach, fmt.Errorf("faultinject: lifecycle hang perturbed a running CVM: %v", out)
-		}
-		return OutcomeQuarantined, nil
-	}
-	// Hang the world switch: the next run wedges mid-gate, the watchdog
-	// quarantines the compartment, and every further run is refused with
-	// a typed error — but lifecycle still works: the victim (which can no
-	// longer execute) tears down cleanly.
-	target := sm.CompSwitch
-	in.hangTarget = &target
-	_, rerr := in.s.RunVCPU(in.h, id, 0)
-	if err := in.expectCompartmentDown(sm.CompSwitch, rerr); err != nil {
-		return OutcomeMissed, err
-	}
-	if _, rerr := in.s.RunVCPU(in.h, id, 0); rerr == nil {
-		return OutcomeBreach, fmt.Errorf("faultinject: run accepted with the world switch down")
-	}
-	if derr := in.destroy(id); derr != nil {
-		return OutcomeBreach, fmt.Errorf("faultinject: teardown failed with the world switch down: %v", derr)
-	}
-	return OutcomeQuarantined, nil
 }
 
 // injectBitFlip spawns a checksum victim, flips one bit in one of its

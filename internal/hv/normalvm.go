@@ -50,22 +50,17 @@ func (k *Hypervisor) CreateNormalVM(name string, image []byte, entry uint64) (*V
 	return vm, nil
 }
 
-// NormalExit mirrors sm.ExitInfo for normal VMs.
-type NormalExit struct {
-	Reason sm.ExitReason
-	// Data and Data2 are the guest's a0/a1 at shutdown (self-measured
-	// results and a secondary channel, e.g. a checksum).
-	Data  uint64
-	Data2 uint64
-}
+// NormalExit remains only because zbench names it; normal VMs report
+// sm.ExitInfo like CVMs do.
+type NormalExit = sm.ExitInfo
 
 // RunNormalVCPU enters a normal guest and services its exits in HS-mode:
 // stage-2 faults take the KVM software path, MMIO is emulated through the
 // attached device model, SBI calls are handled by the in-hypervisor SBI
 // shim. It returns when the guest shuts down or the quantum expires.
-func (k *Hypervisor) RunNormalVCPU(h *hart.Hart, vm *VM, vcpuID int) (NormalExit, error) {
+func (k *Hypervisor) RunNormalVCPU(h *hart.Hart, vm *VM, vcpuID int) (sm.ExitInfo, error) {
 	if vm.Confidential {
-		return NormalExit{}, fmt.Errorf("hv: use RunCVM for confidential VMs")
+		return sm.ExitInfo{}, fmt.Errorf("hv: use RunCVM for confidential VMs")
 	}
 	v := vm.vcpus[vcpuID]
 
@@ -97,7 +92,7 @@ func (k *Hypervisor) RunNormalVCPU(h *hart.Hart, vm *VM, vcpuID int) (NormalExit
 		if !live {
 			// Parallel engine: the machine halted at a quantum barrier.
 			k.saveVCPU(h, v, h.PC)
-			return NormalExit{Reason: sm.ExitTimer}, nil
+			return sm.ExitInfo{Reason: sm.ExitTimer}, nil
 		}
 		switch ev.Kind {
 		case hart.EvWFI:
@@ -105,7 +100,7 @@ func (k *Hypervisor) RunNormalVCPU(h *hart.Hart, vm *VM, vcpuID int) (NormalExit
 				continue
 			}
 			k.saveVCPU(h, v, h.PC)
-			return NormalExit{Reason: sm.ExitTimer}, nil
+			return sm.ExitInfo{Reason: sm.ExitTimer}, nil
 		case hart.EvTrap:
 			t := ev.Trap
 			switch t.Target {
@@ -134,9 +129,9 @@ func (k *Hypervisor) RunNormalVCPU(h *hart.Hart, vm *VM, vcpuID int) (NormalExit
 					}
 					k.saveVCPU(h, v, h.CSR(isa.CSRMepc))
 					vm.countExit("timer")
-					return NormalExit{Reason: sm.ExitTimer}, nil
+					return sm.ExitInfo{Reason: sm.ExitTimer}, nil
 				}
-				return NormalExit{Reason: sm.ExitError},
+				return sm.ExitInfo{Reason: sm.ExitError},
 					fmt.Errorf("hv: unexpected M trap %s", isa.CauseName(t.Cause))
 			}
 		}
@@ -172,7 +167,7 @@ func (k *Hypervisor) restoreVCPU(h *hart.Hart, v *VCPUState) {
 }
 
 // handleNormalExit services one HS-mode trap from a normal guest.
-func (k *Hypervisor) handleNormalExit(h *hart.Hart, vm *VM, v *VCPUState, t hart.Trap) (NormalExit, bool, error) {
+func (k *Hypervisor) handleNormalExit(h *hart.Hart, vm *VM, v *VCPUState, t hart.Trap) (sm.ExitInfo, bool, error) {
 	h.Advance(h.Cost.HVExitHandle)
 	switch t.Cause {
 	case isa.ExcLoadGuestPageFault, isa.ExcStoreGuestPageFault, isa.ExcInstGuestPageFault:
@@ -180,17 +175,17 @@ func (k *Hypervisor) handleNormalExit(h *hart.Hart, vm *VM, v *VCPUState, t hart
 		if dev, off, ok := vm.deviceAt(gpa); ok {
 			vm.countExit("mmio")
 			if err := k.emulateMMIO(h, dev, off, t); err != nil {
-				return NormalExit{Reason: sm.ExitError}, true, err
+				return sm.ExitInfo{Reason: sm.ExitError}, true, err
 			}
 			h.SetCSR(isa.CSRSepc, h.CSR(isa.CSRSepc)+4)
 			h.SRet()
-			return NormalExit{}, false, nil
+			return sm.ExitInfo{}, false, nil
 		}
 		if gpa >= GuestRAMBase {
 			vm.countExit("s2fault")
 			start := h.Cycles - h.Cost.TrapEntry - h.Cost.HVExitHandle
 			if err := k.normalStage2Fault(h, vm, gpa); err != nil {
-				return NormalExit{Reason: sm.ExitError}, true, err
+				return sm.ExitInfo{Reason: sm.ExitError}, true, err
 			}
 			h.SRet() // retry the access
 			k.mu.Lock()
@@ -199,30 +194,30 @@ func (k *Hypervisor) handleNormalExit(h *hart.Hart, vm *VM, v *VCPUState, t hart
 			k.mu.Unlock()
 			k.s2Hist.Observe(h.Cycles - start)
 			k.Tel.Span(h.ID, "hv", "s2fault.normal", start, h.Cycles, telemetry.NoCVM, gpa)
-			return NormalExit{}, false, nil
+			return sm.ExitInfo{}, false, nil
 		}
 		k.saveVCPU(h, v, h.CSR(isa.CSRSepc))
-		return NormalExit{Reason: sm.ExitError}, true,
+		return sm.ExitInfo{Reason: sm.ExitError}, true,
 			fmt.Errorf("hv: guest fault at unmapped GPA %#x", gpa)
 
 	case isa.ExcEcallVS:
 		done, err := k.handleGuestSBI(h, vm, v)
 		if err != nil {
-			return NormalExit{Reason: sm.ExitError}, true, err
+			return sm.ExitInfo{Reason: sm.ExitError}, true, err
 		}
 		if done {
 			vm.countExit("shutdown")
-			return NormalExit{Reason: sm.ExitShutdown, Data: v.X[10], Data2: v.X[11]}, true, nil
+			return sm.ExitInfo{Reason: sm.ExitShutdown, Data: v.X[10], Data2: v.X[11]}, true, nil
 		}
-		return NormalExit{}, false, nil
+		return sm.ExitInfo{}, false, nil
 
 	case isa.CauseInterruptBit | isa.IntSTimer:
 		k.saveVCPU(h, v, h.CSR(isa.CSRSepc))
 		vm.countExit("timer")
-		return NormalExit{Reason: sm.ExitTimer}, true, nil
+		return sm.ExitInfo{Reason: sm.ExitTimer}, true, nil
 	}
 	k.saveVCPU(h, v, h.CSR(isa.CSRSepc))
-	return NormalExit{Reason: sm.ExitError}, true,
+	return sm.ExitInfo{Reason: sm.ExitError}, true,
 		fmt.Errorf("hv: unhandled guest trap %s", isa.CauseName(t.Cause))
 }
 

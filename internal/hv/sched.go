@@ -8,6 +8,38 @@ import (
 	"zion/internal/telemetry"
 )
 
+// Run enters one vCPU and returns its next exit: the vmentry is an FnRun
+// ecall into the SM for a confidential VM (RunCVM) and an HS-mode entry
+// for a normal one (RunNormalVCPU). Both report the same sm.ExitInfo
+// reasons, so callers drive either kind through this one call.
+func (k *Hypervisor) Run(h *hart.Hart, vm *VM, vcpu int) (sm.ExitInfo, error) {
+	if vm.Confidential {
+		return k.RunCVM(h, vm, vcpu)
+	}
+	return k.RunNormalVCPU(h, vm, vcpu)
+}
+
+// RunToShutdown runs one vCPU until its guest shuts down and returns the
+// ExitShutdown info (guest a0/a1 in Data/Data2). It re-enters the vCPU
+// after every quantum expiry, calling onTimer, when non-nil, after each.
+// Any other exit is an error naming the VM and the vCPU.
+func (k *Hypervisor) RunToShutdown(h *hart.Hart, vm *VM, vcpu int, onTimer func()) (sm.ExitInfo, error) {
+	for {
+		info, err := k.Run(h, vm, vcpu)
+		switch {
+		case err != nil:
+			return info, fmt.Errorf("hv: %s/%d: %w", vm.Name, vcpu, err)
+		case info.Reason == sm.ExitShutdown:
+			return info, nil
+		case info.Reason != sm.ExitTimer:
+			return info, fmt.Errorf("hv: %s/%d: unexpected exit %v", vm.Name, vcpu, info.Reason)
+		}
+		if onTimer != nil {
+			onTimer()
+		}
+	}
+}
+
 // Scheduler multiplexes many vCPUs — confidential and normal, mixed —
 // over one hart with round-robin timeslicing, the role KVM's scheduler
 // plays in the paper's setup. Confidential quanta are enforced by the SM
@@ -41,8 +73,9 @@ type VMResult struct {
 	Data2  uint64 // guest a1 at shutdown
 	Rounds uint64 // scheduling rounds consumed
 	// Err is non-nil when this vCPU's VM failed instead of shutting down
-	// (fatal per-CVM fault, quarantine, guest bug). Co-resident VMs are
-	// unaffected: the scheduler degrades per-VM, never per-fleet.
+	// (fatal per-CVM fault, quarantine, a guest bug in a VM of either
+	// kind). Co-resident VMs are unaffected: the scheduler degrades
+	// per-VM, never per-fleet.
 	Err error
 }
 
@@ -68,55 +101,39 @@ func (s *Scheduler) RunAll(h *hart.Hart) ([]VMResult, error) {
 			}
 			e.rounds++
 			sliceStart := h.Cycles
+			info, err := s.k.Run(h, e.vm, e.vcpu)
+			cvmID := telemetry.NoCVM
 			if e.vm.Confidential {
-				info, err := s.k.RunCVM(h, e.vm, e.vcpu)
-				s.k.Tel.Span(h.ID, "hv", "slice."+e.vm.Name, sliceStart, h.Cycles,
-					e.vm.CVMID, e.rounds)
-				if err != nil {
-					// Graceful degradation: a fatal per-CVM fault (the SM
-					// quarantined the CVM) or a recoverable protocol error
-					// retires this entry; the rest of the queue keeps
-					// running. Only platform-fatal failures abort the fleet.
-					if smerr, ok := sm.AsSMError(err); ok && smerr.Severity == sm.SevFatalPlatform {
-						return nil, fmt.Errorf("hv: %s/%d: %w", e.vm.Name, e.vcpu, err)
-					}
-					if smerr, ok := sm.AsSMError(err); ok && smerr.Code == sm.CodeCompartment {
-						s.DegradedRefusals++
-						s.k.Tel.Counter("hv/degraded_refusals").Inc()
-					}
-					e.done, e.err = true, fmt.Errorf("hv: %s/%d: %w", e.vm.Name, e.vcpu, err)
-					remaining--
-					continue
-				}
-				switch info.Reason {
-				case sm.ExitShutdown:
-					e.done, e.result = true, info
-					remaining--
-				case sm.ExitTimer:
-					// Quantum expired: next entry's turn.
-				default:
-					// A guest bug (undelegated exception, protocol abuse)
-					// fails this VM, not the fleet.
-					e.done, e.err = true, fmt.Errorf("hv: %s/%d: unexpected exit %v", e.vm.Name, e.vcpu, info.Reason)
-					remaining--
-				}
-				continue
+				cvmID = e.vm.CVMID
 			}
-			exit, err := s.k.RunNormalVCPU(h, e.vm, e.vcpu)
-			s.k.Tel.Span(h.ID, "hv", "slice."+e.vm.Name, sliceStart, h.Cycles,
-				telemetry.NoCVM, e.rounds)
-			if err != nil {
-				return nil, fmt.Errorf("hv: %s/%d: %w", e.vm.Name, e.vcpu, err)
-			}
-			switch exit.Reason {
-			case sm.ExitShutdown:
-				e.done = true
-				e.result = sm.ExitInfo{Reason: sm.ExitShutdown, Data: exit.Data, Data2: exit.Data2}
-				remaining--
-			case sm.ExitTimer:
+			s.k.Tel.Span(h.ID, "hv", "slice."+e.vm.Name, sliceStart, h.Cycles, cvmID, e.rounds)
+			switch {
+			case err != nil:
+				// Graceful degradation: a fatal per-CVM fault (the SM
+				// quarantined the CVM), a recoverable protocol error or a
+				// normal guest's bug retires this entry; the rest of the
+				// queue keeps running. Only platform-fatal failures abort
+				// the fleet.
+				e.err = fmt.Errorf("hv: %s/%d: %w", e.vm.Name, e.vcpu, err)
+				smerr, ok := sm.AsSMError(err)
+				if ok && smerr.Severity == sm.SevFatalPlatform {
+					return nil, e.err
+				}
+				if ok && smerr.Code == sm.CodeCompartment {
+					s.DegradedRefusals++
+					s.k.Tel.Counter("hv/degraded_refusals").Inc()
+				}
+			case info.Reason == sm.ExitShutdown:
+				e.result = info
+			case info.Reason == sm.ExitTimer:
+				continue // quantum expired: next entry's turn
 			default:
-				return nil, fmt.Errorf("hv: %s/%d: unexpected exit %v", e.vm.Name, e.vcpu, exit.Reason)
+				// A guest bug (undelegated exception, protocol abuse)
+				// fails this VM, not the fleet.
+				e.err = fmt.Errorf("hv: %s/%d: unexpected exit %v", e.vm.Name, e.vcpu, info.Reason)
 			}
+			e.done = true
+			remaining--
 		}
 	}
 	out := make([]VMResult, len(s.queue))

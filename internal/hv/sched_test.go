@@ -1,6 +1,7 @@
 package hv
 
 import (
+	"strings"
 	"testing"
 
 	"zion/internal/asm"
@@ -111,5 +112,52 @@ func TestSchedulerEmpty(t *testing.T) {
 	results, err := sched.RunAll(m.Harts[0])
 	if err != nil || len(results) != 0 {
 		t.Fatalf("empty queue: %v %v", results, err)
+	}
+}
+
+// A normal VM's guest bug retires that VM with VMResult.Err; the CVM and
+// the healthy normal VM scheduled beside it still run to shutdown.
+func TestSchedulerRetiresFaultingNormalVM(t *testing.T) {
+	_, _, k, h := newStack(t, sm.Config{SchedQuantum: 15_000})
+	k.SchedQuantum = 15_000
+	cvm, err := k.CreateCVM(h, "c1", spinImage(40_000, 201), GuestRAMBase)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Spin across a few quanta, then load from a GPA below GuestRAMBase
+	// that no device covers.
+	bad := asm.New(GuestRAMBase)
+	bad.LI(asm.T1, 20_000)
+	bad.Label("spin")
+	bad.ADDI(asm.T1, asm.T1, -1)
+	bad.BNE(asm.T1, asm.Zero, "spin")
+	bad.LI(asm.T0, 0x1000)
+	bad.LD(asm.T2, asm.T0, 0)
+	faulty, err := k.CreateNormalVM("n-bad", bad.MustAssemble(), GuestRAMBase)
+	if err != nil {
+		t.Fatal(err)
+	}
+	healthy, err := k.CreateNormalVM("n-ok", spinImage(40_000, 203), GuestRAMBase)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched := k.NewScheduler()
+	sched.Add(cvm, 0)
+	sched.Add(faulty, 0)
+	sched.Add(healthy, 0)
+
+	results, err := sched.RunAll(h)
+	if err != nil {
+		t.Fatalf("RunAll: %v", err)
+	}
+	for _, i := range []int{0, 2} {
+		r := results[i]
+		if r.Err != nil || r.Data != 201+uint64(i) {
+			t.Errorf("%s: data %d err %v, want %d", r.VM.Name, r.Data, r.Err, 201+i)
+		}
+	}
+	if err := results[1].Err; err == nil || !strings.Contains(err.Error(), "n-bad/0") ||
+		!strings.Contains(err.Error(), "unmapped GPA") {
+		t.Errorf("faulting VM err = %v, want its unmapped-GPA fault", err)
 	}
 }

@@ -142,7 +142,7 @@ type EngineStats struct {
 }
 
 // HartRunner drives one hart to completion (e.g. a closure over
-// Machine.RunHart or hv.RunCVM).
+// Machine.RunHart or hv.RunToShutdown).
 type HartRunner func(h *hart.Hart) error
 
 // xop is one deferred cross-hart operation, inbox-resident.

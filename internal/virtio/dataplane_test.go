@@ -38,7 +38,7 @@ func forgeAvail(t *testing.T, mem MemIO, availBase uint64, slot, head, idx uint1
 // chainKind pops one chain and returns the typed rejection kind.
 func chainKind(t *testing.T, q *Queue, mem MemIO) ChainErrorKind {
 	t.Helper()
-	_, _, err := q.Pop(mem)
+	_, err := q.PopBatch(mem, 1)
 	var ce *ChainError
 	if !errors.As(err, &ce) {
 		t.Fatalf("err = %v, want *ChainError", err)
@@ -219,7 +219,7 @@ func TestBatchedPumpRingRoundTrips(t *testing.T) {
 		t.Fatalf("processed %d of %d writes", b.Writes, batch)
 	}
 	// One avail-index read drains the batch; the pump loop pays one more
-	// to observe the ring empty. Unbatched per-chain Pop would pay 8.
+	// to observe the ring empty. Popping one chain per call would pay 8.
 	if got := mem.reads[l.avail+2] - availIdxReads; got > 2 {
 		t.Errorf("avail-index reads for the batch = %d, want <= 2", got)
 	}

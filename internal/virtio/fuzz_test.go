@@ -105,10 +105,10 @@ func checkPop(t *testing.T, m *windowMemIO, q *Queue, chains []Chain, err error)
 }
 
 // FuzzPopBatch drives the device-side pop over arbitrary ring bytes and
-// queue geometry. PopBatch (and the single-chain Pop the net device uses)
-// must return well-formed chains or a typed *ChainError /
-// *OutOfWindowError, never panic, and never read guest memory outside the
-// shared window or beyond the queue's own rings.
+// queue geometry. PopBatch, with the fuzzed max and with max 1 (the net
+// device's RX path), must return well-formed chains or a typed
+// *ChainError / *OutOfWindowError, never panic, and never read guest
+// memory outside the shared window or beyond the queue's own rings.
 func FuzzPopBatch(f *testing.F) {
 	f.Fuzz(func(t *testing.T, ring []byte, size, last uint16, max int8, descOff, availOff uint16) {
 		win := NewBytesMemIO(memBase, fzWindow)
@@ -141,12 +141,10 @@ func FuzzPopBatch(f *testing.F) {
 
 		q = geom
 		m = newWindowMemIO(t, win, &q)
-		c, ok, err := q.Pop(m)
-		if ok {
-			chains = []Chain{c}
-		} else {
-			chains = nil
-		}
+		chains, err = q.PopBatch(m, 1)
 		checkPop(t, m, &q, chains, err)
+		if len(chains) > 1 {
+			t.Errorf("%d chains popped with max 1", len(chains))
+		}
 	})
 }

@@ -165,18 +165,20 @@ func (n *Net) flushPending(pair int) error {
 	defer func() { n.pending[pair] = pend }()
 	completed := 0
 	for len(pend) > 0 {
-		ch, ok, err := queue.Pop(mem)
+		// One chain per frame: RX is not batched.
+		chains, err := queue.PopBatch(mem, 1)
 		if err != nil {
 			return err
 		}
-		if !ok {
+		if len(chains) == 0 {
 			break // no buffers; frames stay pending
 		}
+		ch := &chains[0]
 		frame := make([]byte, NetHdrLen+len(pend[0]))
 		copy(frame[NetHdrLen:], pend[0])
 		if ch.WriteCap() < uint32(len(frame)) {
 			n.DroppedRx++
-			if err := queue.Push(mem, ch.Head, 0); err != nil {
+			if err := queue.PushBatch(mem, []UsedElem{{Head: ch.Head}}); err != nil {
 				return err
 			}
 			pend = pend[1:]
@@ -186,7 +188,7 @@ func (n *Net) flushPending(pair int) error {
 		if err != nil {
 			return err
 		}
-		if err := queue.Push(mem, ch.Head, w); err != nil {
+		if err := queue.PushBatch(mem, []UsedElem{{Head: ch.Head, Written: w}}); err != nil {
 			return err
 		}
 		n.RxFrames++

@@ -77,9 +77,9 @@ type Queue struct {
 	lastAvail uint16
 
 	// Scratch, sized on first use. segs is the flat backing store for
-	// the segment slices of every chain returned by the last Pop/
-	// PopBatch; chains is the batch result slice; visited/epoch detect
-	// descriptor cycles without a per-walk clear; the byte buffers feed
+	// the segment slices of every chain returned by the last PopBatch;
+	// chains is the batch result slice; visited/epoch detect descriptor
+	// cycles without a per-walk clear; the byte buffers feed
 	// ReadInto/WriteBytes without allocating.
 	segs     []segment
 	chains   []Chain
@@ -95,7 +95,7 @@ type Queue struct {
 // Chain is one popped descriptor chain: the guest-readable segments
 // (device input) and guest-writable segments (device output), in order.
 // The segment slices alias queue-owned scratch and stay valid only until
-// the next Pop/PopBatch on the same queue.
+// the next PopBatch on the same queue.
 type Chain struct {
 	Head     uint16
 	ReadGPA  []segment
@@ -256,44 +256,9 @@ func (q *Queue) walkChain(m MemIO, head uint16) (segLo, segMid, segHi int, err e
 	return segLo, segMid, segHi, nil
 }
 
-// Pop takes the next available chain, or ok=false when the ring is
-// empty. The chain's segment slices alias queue scratch (valid until
-// the next Pop/PopBatch).
-func (q *Queue) Pop(m MemIO) (Chain, bool, error) {
-	if !q.Ready {
-		return Chain{}, false, nil
-	}
-	availIdx, err := q.readU16Into(m, q.AvailGPA+2)
-	if err != nil {
-		return Chain{}, false, err
-	}
-	pending := availIdx - q.lastAvail // uint16 wraparound arithmetic
-	if pending == 0 {
-		return Chain{}, false, nil
-	}
-	if pending > q.Size {
-		// Also what stops a zero-size ring from reaching the modulo below.
-		return Chain{}, false, &ChainError{Kind: ChainBadAvail, Head: 0, Index: availIdx}
-	}
-	slot := q.lastAvail % q.Size
-	head, err := q.readU16Into(m, q.AvailGPA+4+uint64(slot)*2)
-	if err != nil {
-		return Chain{}, false, err
-	}
-	q.lastAvail++
-
-	q.segs = q.segs[:0]
-	lo, mid, hi, err := q.walkChain(m, head)
-	if err != nil {
-		return Chain{}, false, err
-	}
-	return Chain{Head: head, ReadGPA: q.segs[lo:mid], WriteGPA: q.segs[mid:hi]}, true, nil
-}
-
 // PopBatch drains up to max pending chains with a single avail-index
-// read, amortizing the ring round trips the per-chain Pop pays on every
-// call. It returns a slice aliasing queue scratch (valid until the next
-// Pop/PopBatch); max <= 0 means "everything pending". A malformed chain
+// read. It returns a slice aliasing queue scratch (valid until the next
+// PopBatch); max <= 0 means "everything pending". A malformed chain
 // fails the whole batch — the device resets rather than guessing which
 // of a hostile driver's chains to trust.
 func (q *Queue) PopBatch(m MemIO, max int) ([]Chain, error) {
@@ -364,23 +329,6 @@ func (q *Queue) PopBatch(m MemIO, max int) ([]Chain, error) {
 // rngStash holds one chain's segment index range between the two
 // PopBatch passes.
 type rngStash struct{ lo, mid, hi int }
-
-// Push returns a completed chain to the used ring.
-func (q *Queue) Push(m MemIO, head uint16, written uint32) error {
-	usedIdx, err := q.readU16Into(m, q.UsedGPA+2)
-	if err != nil {
-		return err
-	}
-	slot := usedIdx % q.Size
-	base := q.UsedGPA + 4 + uint64(slot)*8
-	binary.LittleEndian.PutUint32(q.descBuf[0:4], uint32(head))
-	binary.LittleEndian.PutUint32(q.descBuf[4:8], written)
-	if err := m.WriteBytes(base, q.descBuf[:8]); err != nil {
-		return err
-	}
-	binary.LittleEndian.PutUint16(q.idxBuf[:], usedIdx+1)
-	return m.WriteBytes(q.UsedGPA+2, q.idxBuf[:])
-}
 
 // PushBatch publishes a whole batch of completions: the used-ring
 // entries are written in at most two contiguous spans and the used index

@@ -281,7 +281,7 @@ func TestChainValidation(t *testing.T) {
 	writeDesc(1, l.buf, 16, descFNext, 0)
 	_ = writeU16(mem, l.avail+4, 0) // ring[0] = head 0
 	_ = writeU16(mem, l.avail+2, 1) // idx = 1
-	_, _, err := q.Pop(mem)
+	_, err := q.PopBatch(mem, 1)
 	if err == nil {
 		t.Error("descriptor loop not detected")
 	}

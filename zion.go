@@ -196,54 +196,19 @@ func (s *System) AttachNetDevice(v *VM) *virtio.Net {
 // quanta, MMIO emulation, shared-window faults and pool expansions).
 func (s *System) Run(v *VM) (RunResult, error) {
 	start := s.hart.Cycles
-	for {
-		if v.inner.Confidential {
-			info, err := s.Hypervisor.RunCVM(s.hart, v.inner, 0)
-			if err != nil {
-				return RunResult{}, err
-			}
-			switch info.Reason {
-			case sm.ExitShutdown:
-				return RunResult{Cycles: s.hart.Cycles - start,
-					GuestData: info.Data, GuestData2: info.Data2}, nil
-			case sm.ExitTimer:
-				if s.OnQuantum != nil {
-					s.OnQuantum()
-				}
-				continue
-			default:
-				return RunResult{}, fmt.Errorf("zion: unexpected exit %v", info.Reason)
-			}
-		}
-		exit, err := s.Hypervisor.RunNormalVCPU(s.hart, v.inner, 0)
-		if err != nil {
-			return RunResult{}, err
-		}
-		switch exit.Reason {
-		case sm.ExitShutdown:
-			return RunResult{Cycles: s.hart.Cycles - start,
-				GuestData: exit.Data, GuestData2: exit.Data2}, nil
-		case sm.ExitTimer:
-			if s.OnQuantum != nil {
-				s.OnQuantum()
-			}
-			continue
-		default:
-			return RunResult{}, fmt.Errorf("zion: unexpected exit %v", exit.Reason)
-		}
+	info, err := s.Hypervisor.RunToShutdown(s.hart, v.inner, 0, s.OnQuantum)
+	if err != nil {
+		return RunResult{}, err
 	}
+	return RunResult{Cycles: s.hart.Cycles - start, GuestData: info.Data, GuestData2: info.Data2}, nil
 }
 
 // RunOnce drives the VM for at most one scheduling round and returns the
 // raw exit reason string (advanced callers needing exit-level control
 // should use the Hypervisor directly).
 func (s *System) RunOnce(v *VM) (string, error) {
-	if v.inner.Confidential {
-		info, err := s.Hypervisor.RunCVM(s.hart, v.inner, 0)
-		return info.Reason.String(), err
-	}
-	exit, err := s.Hypervisor.RunNormalVCPU(s.hart, v.inner, 0)
-	return exit.Reason.String(), err
+	info, err := s.Hypervisor.Run(s.hart, v.inner, 0)
+	return info.Reason.String(), err
 }
 
 // Measurement returns a confidential VM's sealed launch measurement.
